@@ -51,16 +51,15 @@ test-epoch:
 # Storage suite: the mmap spool backend and the ExecutionPolicy bundle —
 # file-backed columns bit-identical to shm and serial across shard counts,
 # spool-file lifecycle (normal exit, worker crash, KeyboardInterrupt), the
-# /dev/shm budget spill guard, shm/mmap handle anti-aliasing, policy
-# round-trips and the mixed-spelling error, plus the mmap epoch-swap cases.
+# /dev/shm budget spill guard, shm/mmap handle anti-aliasing and policy
+# round-trips, plus the mmap epoch-swap cases.
 test-storage:
 	$(PYTHON) -m pytest tests/test_parallel_equivalence.py tests/test_shm_lifecycle.py tests/test_epoch_updates.py -q -k "storage or mmap or spool or policy"
 
-# Kernel suite: round-kernel equivalence — every registered tier (reference,
-# fused, and numba when the optional extra is installed) bit-identical to
-# the reference kernel across the golden grid, the randomized property
-# cases, the sharded/chaos/epoch tiers and the policy/service plumbing.
-# Numba-tier cases skip cleanly when the dependency is absent.
+# Kernel suite: round-kernel equivalence — every registered tier (reference
+# and fused) bit-identical to the reference kernel across the golden grid,
+# the randomized property cases, the sharded/chaos/epoch tiers and the
+# policy/service plumbing.
 test-kernels:
 	$(PYTHON) -m pytest tests/test_kernels.py -q
 
@@ -127,9 +126,9 @@ bench-record-epoch:
 bench-record-storage:
 	$(PYTHON) scripts/bench_engine.py --label $(LABEL) --storage --workers $(WORKERS) $(if $(OUTPUT),--output $(OUTPUT))
 
-# Append the round-kernel point (reference vs fused — vs numba when the
-# kernels extra is installed — wall-clock and per-round timing over the
-# default end-to-end workload, serial equivalence enforced).
+# Append the round-kernel point (reference vs fused wall-clock and
+# per-round timing over the default end-to-end workload, serial
+# equivalence enforced).
 # Usage: make bench-record-kernel LABEL=... [OUTPUT=path.json]
 bench-record-kernel:
 	$(PYTHON) scripts/bench_engine.py --label $(LABEL) --kernel $(if $(OUTPUT),--output $(OUTPUT))

@@ -37,8 +37,7 @@ equivalence enforced before anything is written (``make
 bench-record-storage``).
 
 ``--kernel`` records the round-kernel point instead: the reference tier
-versus the batched fused tier (and the njit tier when the ``kernels`` extra
-is installed) over the default end-to-end workload — wall-clock, per-round
+versus the batched fused tier over the default end-to-end workload — wall-clock, per-round
 timing and the fused speedup, with serial equivalence enforced before
 anything is written (``make bench-record-kernel``).
 
@@ -455,7 +454,7 @@ def bench_storage(n_workers: int = 4) -> dict[str, object]:
 
 
 def bench_kernels(repeats: int = 3) -> dict[str, object]:
-    """Reference vs fused (vs numba, when installed) round-kernel wall-clock.
+    """Reference vs fused round-kernel wall-clock.
 
     The workload is the default end-to-end point — the paper's 3,900-item
     catalogue, 8 random groups of 6, AP consensus, ``k = 10``, indexes
@@ -527,9 +526,10 @@ def bench_kernels(repeats: int = 3) -> dict[str, object]:
 def bench_parallel_paper_scale(n_workers: int = 4) -> dict[str, object]:
     """Serial vs sharded evaluation over the full Table 5-scale substrate."""
     from repro.experiments.scalability import ScalabilityConfig, run_paper_scale
+    from repro.parallel import ExecutionPolicy
 
     config = ScalabilityConfig.paper_scale()
-    result = run_paper_scale(n_workers=n_workers, config=config)
+    result = run_paper_scale(policy=ExecutionPolicy(n_workers=n_workers), config=config)
     print(result.format_summary())
     if not result.identical:  # the record must never hide an equivalence break
         raise SystemExit("paper-scale sharded records diverged from serial")
@@ -606,10 +606,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--kernel",
         action="store_true",
-        help="record the round-kernel point (reference vs fused — vs numba "
-        "when the kernels extra is installed — wall-clock and per-round "
-        "timing over the default end-to-end workload, serial equivalence "
-        "enforced) instead of the default engine sections",
+        help="record the round-kernel point (reference vs fused wall-clock "
+        "and per-round timing over the default end-to-end workload, serial "
+        "equivalence enforced) instead of the default engine sections",
     )
     parser.add_argument(
         "--output",

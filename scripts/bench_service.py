@@ -32,7 +32,7 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 from repro.experiments.scalability import ScalabilityConfig  # noqa: E402
-from repro.parallel import available_cpus  # noqa: E402
+from repro.parallel import ExecutionPolicy, available_cpus  # noqa: E402
 from repro.service import (  # noqa: E402
     GrecaService,
     ServiceConfig,
@@ -53,12 +53,15 @@ SMOKE_CONFIG = ScalabilityConfig(
 
 
 async def bench_service(args: argparse.Namespace) -> dict[str, object]:
+    if args.executor == "reference":  # the in-process serial path
+        policy = ExecutionPolicy()
+    else:
+        policy = ExecutionPolicy(n_workers=args.workers, executor=args.executor)
     service = GrecaService(
         config=ServiceConfig(
-            n_workers=args.workers,
-            executor=None if args.executor == "reference" else args.executor,
             max_batch_size=args.batch_size,
             max_batch_delay=args.batch_delay,
+            policy=policy,
         ),
         scalability_config=SMOKE_CONFIG if args.smoke else None,
     )

@@ -14,7 +14,7 @@ from repro.core.affinity import (
 )
 from repro.core.baseline import BaselineResult, NaiveFullScan, ThresholdAlgorithmBaseline
 from repro.core.bounds import Interval, PairwiseAffinityBounds
-from repro.core.buffer import BufferedItem, CandidateBuffer, ColumnarCandidateBuffer
+from repro.core.buffer import BufferedItem, ColumnarCandidateBuffer
 from repro.core.consensus import (
     AVERAGE_PREFERENCE,
     LEAST_MISERY,
@@ -27,9 +27,7 @@ from repro.core.consensus import (
 from repro.core.greca import Greca, GrecaIndex, GrecaIndexFactory, GrecaResult
 from repro.core.kernels import (
     KERNEL_FUSED,
-    KERNEL_NUMBA,
     KERNEL_REFERENCE,
-    NUMBA_AVAILABLE,
     FusedRoundKernel,
     ReferenceRoundKernel,
     RoundKernel,
@@ -51,7 +49,6 @@ __all__ = [
     "AffinityModel",
     "BaselineResult",
     "BufferedItem",
-    "CandidateBuffer",
     "ColumnarCandidateBuffer",
     "ComputedAffinities",
     "ConsensusFunction",
@@ -67,11 +64,9 @@ __all__ = [
     "GroupRecommender",
     "Interval",
     "KERNEL_FUSED",
-    "KERNEL_NUMBA",
     "KERNEL_REFERENCE",
     "LEAST_MISERY",
     "ListEntry",
-    "NUMBA_AVAILABLE",
     "NaiveFullScan",
     "NoAffinityModel",
     "PAIRWISE_DISAGREEMENT",

@@ -12,9 +12,7 @@ float64 array per bound plus an item registry, so bulk refreshes are single
 array assignments and the ranking queries (``k``-th lower bound, buffer
 condition, top-k) run as vectorised selections — ``np.argpartition`` for the
 ``k``-th order statistic, ``np.lexsort`` with a cached ``repr`` tie-break
-ranking when the full deterministic order is needed.  :class:`CandidateBuffer`
-remains as a thin compatibility façade with the original per-item dict-style
-API, delegating all storage and queries to the columnar buffer.
+ranking when the full deterministic order is needed.
 """
 
 from __future__ import annotations
@@ -237,64 +235,3 @@ class ColumnarCandidateBuffer:
             return None
         return float(self._upper[ordered[k:]].max())
 
-
-class CandidateBuffer:
-    """Items encountered so far with their [lower, upper] consensus bounds.
-
-    Compatibility façade over :class:`ColumnarCandidateBuffer` preserving the
-    original per-item API.
-    """
-
-    def __init__(self) -> None:
-        self._columnar = ColumnarCandidateBuffer()
-
-    # -- container protocol --------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._columnar)
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._columnar
-
-    def __iter__(self) -> Iterator[BufferedItem]:
-        return iter(self._columnar)
-
-    # -- updates -------------------------------------------------------------------------
-
-    def update(self, item: Hashable, lower: float, upper: float) -> None:
-        """Insert or refresh the bounds of one item."""
-        self._columnar.update(item, lower, upper)
-
-    def update_many(self, bounds: Mapping[Hashable, tuple[float, float]]) -> None:
-        """Bulk insert/refresh from ``{item: (lower, upper)}``."""
-        self._columnar.update_many(bounds)
-
-    def remove(self, items: Iterable[Hashable]) -> None:
-        """Drop items that have been pruned."""
-        self._columnar.remove(items)
-
-    # -- queries -------------------------------------------------------------------------
-
-    def get(self, item: Hashable) -> BufferedItem | None:
-        """The buffered record of ``item`` or ``None``."""
-        return self._columnar.get(item)
-
-    def ranked_by_lower_bound(self) -> list[BufferedItem]:
-        """All buffered items sorted by decreasing lower bound (ties by item repr)."""
-        return self._columnar.ranked_by_lower_bound()
-
-    def top_k(self, k: int) -> list[BufferedItem]:
-        """The ``k`` buffered items with the highest lower bounds."""
-        return self._columnar.top_k(k)
-
-    def kth_lower_bound(self, k: int) -> float | None:
-        """Lower bound of the ``k``-th ranked item (``None`` if fewer than ``k`` items)."""
-        return self._columnar.kth_lower_bound(k)
-
-    def satisfies_buffer_condition(self, k: int, tolerance: float = _TOLERANCE) -> bool:
-        """GRECA's buffer termination test (see :class:`ColumnarCandidateBuffer`)."""
-        return self._columnar.satisfies_buffer_condition(k, tolerance)
-
-    def max_upper_bound_outside_top_k(self, k: int) -> float | None:
-        """Largest upper bound among items not in the current top-k (``None`` if none)."""
-        return self._columnar.max_upper_bound_outside_top_k(k)

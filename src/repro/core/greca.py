@@ -739,8 +739,7 @@ class Greca:
         small fraction of the lists.
     kernel:
         Round-kernel backend executing the advance/refresh steps —
-        ``"reference"`` (the default), ``"fused"``, or ``"numba"`` when the
-        optional dependency is installed.  Every registered kernel is
+        ``"reference"`` (the default) or ``"fused"``.  Every registered kernel is
         bit-identical to the reference tier (see :mod:`repro.core.kernels`);
         unknown names raise :class:`ValueError` at the single choice point
         (:func:`repro.core.kernels.validate_kernel_name`).

@@ -20,15 +20,12 @@ algorithm, mirroring the executor/storage registries in
   Every array write is an assignment (never a sum), so floating-point
   summation order is untouched and the fused tier stays bit-identical to
   the reference oracle.
-* ``kernel="numba"`` — opt-in: the fused scatter/suffix steps compiled with
-  :func:`numba.njit`.  Importability-gated; registered only when ``numba``
-  is installed, and the test/CI axis skips cleanly when it is absent.
 
 Kernel names pass through :func:`validate_kernel_name`, the single
 :class:`ValueError` choice point for ``kernel=`` strings (the analogue of
 ``pool.validate_executor_name`` / ``storage.validate_storage_name``), and
 the registry (:func:`register_kernel` / :func:`kernel_names`) is how new
-backends join — including compiled tiers beyond numba.
+backends join.
 """
 
 from __future__ import annotations
@@ -44,15 +41,6 @@ from repro.core.lists import SortedAccessList
 #: Kernel names accepted by :func:`validate_kernel_name`.
 KERNEL_REFERENCE = "reference"
 KERNEL_FUSED = "fused"
-KERNEL_NUMBA = "numba"
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - the container default
-    _njit = None
-    NUMBA_AVAILABLE = False
 
 
 @dataclass
@@ -195,7 +183,7 @@ class ReferenceRoundKernel:
         return pref_low, pref_high
 
 
-def _scatter_block_numpy(
+def _scatter_block(
     apref_low: np.ndarray,
     apref_high: np.ndarray,
     buffered: np.ndarray,
@@ -208,7 +196,7 @@ def _scatter_block_numpy(
     buffered[cols.ravel()] = True
 
 
-def _rewrite_suffix_numpy(
+def _rewrite_suffix(
     apref_high: np.ndarray,
     cols: np.ndarray,
     cursor_values: np.ndarray,
@@ -231,10 +219,6 @@ class FusedRoundKernel:
 
     name = KERNEL_FUSED
 
-    #: The array-only inner steps; the numba kernel swaps in compiled ones.
-    _scatter_block = staticmethod(_scatter_block_numpy)
-    _rewrite_suffix = staticmethod(_rewrite_suffix_numpy)
-
     def advance(self, state: RoundState, block: int) -> None:
         lists = state.preference_lists
         start = lists[0].position if lists else 0
@@ -245,7 +229,7 @@ class FusedRoundKernel:
         if took:
             cols = state.key_matrix[:, start : start + took]
             scores = state.score_matrix[:, start : start + took]
-            self._scatter_block(state.apref_low, state.apref_high, state.buffered, cols, scores)
+            _scatter_block(state.apref_low, state.apref_high, state.buffered, cols, scores)
         state.affinity_bounds.advance(block)
         state.rounds += block
 
@@ -257,62 +241,13 @@ class FusedRoundKernel:
             cursor_values[row] = preference_list.cursor_score
         position = state.preference_lists[0].position if state.preference_lists else 0
         if position < state.n_items:
-            self._rewrite_suffix(
-                state.apref_high, state.key_matrix[:, position:], cursor_values
-            )
+            _rewrite_suffix(state.apref_high, state.key_matrix[:, position:], cursor_values)
         apref_low = state.apref_low
         apref_high = state.apref_high
         pref_low = apref_low + aff_low @ apref_low
         pref_high = apref_high + aff_high @ apref_high
         state.virtual_high[:, 0] = cursor_values + aff_high @ cursor_values
         return pref_low, pref_high
-
-
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-
-    @_njit(cache=False)
-    def _scatter_block_njit(apref_low, apref_high, buffered, cols, scores):
-        n_rows, n_cols = cols.shape
-        for row in range(n_rows):
-            for position in range(n_cols):
-                col = cols[row, position]
-                value = scores[row, position]
-                apref_low[row, col] = value
-                apref_high[row, col] = value
-                buffered[col] = True
-
-    @_njit(cache=False)
-    def _rewrite_suffix_njit(apref_high, cols, cursor_values):
-        n_rows, n_cols = cols.shape
-        for row in range(n_rows):
-            cursor = cursor_values[row]
-            for position in range(n_cols):
-                apref_high[row, cols[row, position]] = cursor
-
-
-class NumbaRoundKernel(FusedRoundKernel):
-    """The fused step with its array loops compiled by :func:`numba.njit`.
-
-    Only the assignment-scatter loops are compiled — the affinity
-    recombination and the ``@`` matmuls stay on numpy's BLAS path, so the
-    floating-point story is exactly the fused kernel's.  Constructible only
-    when numba imports; :func:`kernel_names` simply omits ``"numba"``
-    otherwise.
-    """
-
-    name = KERNEL_NUMBA
-
-    def __init__(self) -> None:
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError(
-                "kernel 'numba' requires the optional numba dependency "
-                "(pip install 'repro[kernels]')"
-            )
-        # Instance attributes shadow the class-level numpy callables; plain
-        # functions assigned on an instance are not bound, so the fused
-        # ``self._scatter_block(...)`` call sites work unchanged.
-        self._scatter_block = _scatter_block_njit
-        self._rewrite_suffix = _rewrite_suffix_njit
 
 
 _KERNEL_BUILDERS: dict[str, Callable[[], RoundKernel]] = {}
@@ -329,8 +264,6 @@ def register_kernel(name: str, builder: Callable[[], RoundKernel]) -> None:
 
 register_kernel(KERNEL_REFERENCE, ReferenceRoundKernel)
 register_kernel(KERNEL_FUSED, FusedRoundKernel)
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-    register_kernel(KERNEL_NUMBA, NumbaRoundKernel)
 
 
 def kernel_names() -> tuple[str, ...]:

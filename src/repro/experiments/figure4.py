@@ -19,6 +19,7 @@ from repro.core.timeline import GRANULARITIES, discretize
 from repro.data.social import SocialConfig, SocialNetwork, SocialNetworkGenerator
 from repro.data.study_cohort import StudyConfig, build_study_cohort
 from repro.data.movielens import MovieLensConfig, generate_movielens_like
+from repro.parallel import ExecutionPolicy, as_policy
 
 #: The paper's reported values (percentage of non-empty periods, number of periods).
 PAPER_REFERENCE = {
@@ -79,9 +80,7 @@ def run(
     start: int = 0,
     span_days: int = 365,
     seed: int = 29,
-    n_workers: int | None = None,
-    executor=None,
-    policy=None,
+    policy: ExecutionPolicy | None = None,
 ) -> Figure4Result:
     """Regenerate Figure 4.
 
@@ -95,13 +94,14 @@ def run(
         The observation window.
     seed:
         Seed for the generated cohort when ``social`` is omitted.
-    n_workers / executor / policy:
-        Accepted so the runner can pass the same parallelism knobs (loose or
-        bundled as an :class:`~repro.parallel.ExecutionPolicy`) to every
-        figure 4-8 driver; this figure measures per-granularity period
-        statistics (no group evaluation), so the knobs have nothing to shard
-        and the driver always runs serially.
+    policy:
+        Accepted so the runner can pass the same
+        :class:`~repro.parallel.ExecutionPolicy` to every figure 4-8 driver;
+        this figure measures per-granularity period statistics (no group
+        evaluation), so the policy has nothing to shard and the driver
+        always runs serially.
     """
+    as_policy(policy)
     end = start + span_days * 86_400 - 1
     if social is None:
         base = generate_movielens_like(

@@ -26,6 +26,7 @@ from repro.experiments.scalability import (
     owned_environment,
     summarize_percent_sa,
 )
+from repro.parallel import ExecutionPolicy, as_policy
 
 #: Default sweeps (scaled versions of the paper's 5-30 / 3-12 / 900-3900 ranges).
 DEFAULT_K_VALUES = (5, 10, 15, 20, 25, 30)
@@ -95,21 +96,19 @@ def run(
     k_values: Sequence[int] = DEFAULT_K_VALUES,
     group_sizes: Sequence[int] = DEFAULT_GROUP_SIZES,
     item_fractions: Sequence[float] = DEFAULT_ITEM_FRACTIONS,
-    n_workers: int | None = None,
-    executor=None,
-    policy=None,
+    policy: ExecutionPolicy | None = None,
 ) -> Figure5Result:
     """Regenerate Figure 5 on the (possibly scaled-down) substrate.
 
     Index construction is shared through the environment's reuse layer: the
     ``k`` sweep reuses each group's index outright, and the item-count sweep
     column-slices the group's columnar substrate instead of rebuilding it.
-    ``n_workers=`` / ``executor=`` (or a bundled
-    :class:`~repro.parallel.ExecutionPolicy` via ``policy=``) batch all
-    three charts' sweep points into one sharded dispatch (serial reference
-    semantics by default); a driver-owned environment is closed on the way
-    out, exception or not.
+    A parallel ``policy=`` (:class:`~repro.parallel.ExecutionPolicy`)
+    batches all three charts' sweep points into one sharded dispatch
+    (serial reference semantics by default); a driver-owned environment is
+    closed on the way out, exception or not.
     """
+    policy = as_policy(policy)
     with owned_environment(environment, config) as environment:
         base_groups = environment.random_groups()
         size_groups = {
@@ -124,9 +123,7 @@ def run(
         points = [SweepPoint(groups=base_groups, k=k) for k in k_values]
         points += [SweepPoint(groups=size_groups[size]) for size in group_sizes]
         points += [SweepPoint(groups=base_groups, n_items=n) for n in item_counts]
-        results = environment.run_sweep(
-            points, n_workers=n_workers, executor=executor, policy=policy
-        )
+        results = environment.run_sweep(points, policy=policy)
         stats = [
             summarize_percent_sa([record.percent_sa for record in records])
             for records in results

@@ -25,6 +25,7 @@ from repro.experiments.scalability import (
     owned_environment,
     summarize_percent_sa,
 )
+from repro.parallel import ExecutionPolicy, as_policy
 
 #: The paper's qualitative claim: accesses grow ~linearly with the period index.
 PAPER_REFERENCE = {"behaviour": "roughly linear growth of accesses with the period index"}
@@ -65,29 +66,26 @@ def run(
     environment: ScalabilityEnvironment | None = None,
     config: ScalabilityConfig | None = None,
     groups: Sequence[Sequence[int]] | None = None,
-    n_workers: int | None = None,
-    executor=None,
-    policy=None,
+    policy: ExecutionPolicy | None = None,
 ) -> Figure6Result:
     """Regenerate Figure 6: one GRECA run per group per query period.
 
     The reuse layer shares each group's columnar preference substrate across
     all query periods, and the affinity inputs ride as period prefixes of one
-    full-timeline column set per group.  ``n_workers=`` / ``executor=`` (or
-    a bundled :class:`~repro.parallel.ExecutionPolicy` via ``policy=``)
-    batch the whole period sweep into a single sharded dispatch (serial
-    reference semantics by default).  A driver-owned environment is closed
+    full-timeline column set per group.  A parallel ``policy=``
+    (:class:`~repro.parallel.ExecutionPolicy`) batches the whole period
+    sweep into a single sharded dispatch (serial reference semantics by
+    default).  A driver-owned environment is closed
     on the way out, exception or not, so no worker pool or ``/dev/shm``
     segment can leak mid-figure.
     """
+    policy = as_policy(policy)
     with owned_environment(environment, config) as environment:
         groups = groups or environment.random_groups()
         points = [
             SweepPoint(groups=groups, period=period) for period in environment.timeline
         ]
-        per_period = environment.run_sweep(
-            points, n_workers=n_workers, executor=executor, policy=policy
-        )
+        per_period = environment.run_sweep(points, policy=policy)
 
         percent_sa: dict[int, AccessStats] = {}
         mean_accesses: dict[int, float] = {}

@@ -24,6 +24,7 @@ from repro.experiments.scalability import (
     owned_environment,
     summarize_percent_sa,
 )
+from repro.parallel import ExecutionPolicy, as_policy
 from repro.groups.formation import GroupFormer
 
 #: Group classes on the x-axis of Figure 7.
@@ -91,16 +92,13 @@ def run(
     config: ScalabilityConfig | None = None,
     n_groups_per_class: int = 4,
     group_size: int | None = None,
-    n_workers: int | None = None,
-    executor=None,
-    policy=None,
+    policy: ExecutionPolicy | None = None,
 ) -> Figure7Result:
-    """Regenerate Figure 7 (``n_workers=`` batches all classes into one dispatch).
+    """Regenerate Figure 7 (a parallel ``policy=`` batches all classes into one dispatch).
 
-    ``policy=`` takes the bundled :class:`~repro.parallel.ExecutionPolicy`
-    spelling of the same knobs.  A driver-owned environment is closed on
-    the way out, exception or not.
+    A driver-owned environment is closed on the way out, exception or not.
     """
+    policy = as_policy(policy)
     with owned_environment(environment, config) as environment:
         group_size = group_size or environment.config.group_size
         per_class = _class_groups(
@@ -109,9 +107,7 @@ def run(
 
         class_names = list(per_class)
         points = [SweepPoint(groups=per_class[name]) for name in class_names]
-        results = environment.run_sweep(
-            points, n_workers=n_workers, executor=executor, policy=policy
-        )
+        results = environment.run_sweep(points, policy=policy)
         percent_sa = {
             name: summarize_percent_sa([record.percent_sa for record in records])
             for name, records in zip(class_names, results)

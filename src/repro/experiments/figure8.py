@@ -25,6 +25,7 @@ from repro.experiments.scalability import (
     owned_environment,
     summarize_percent_sa,
 )
+from repro.parallel import ExecutionPolicy, as_policy
 
 #: Consensus functions on the x-axis of Figure 8 (paper labels).
 CONSENSUS_FUNCTIONS = ("AR", "MO", "PD V1", "PD V2")
@@ -71,26 +72,22 @@ def run(
     environment: ScalabilityEnvironment | None = None,
     config: ScalabilityConfig | None = None,
     groups: Sequence[Sequence[int]] | None = None,
-    n_workers: int | None = None,
-    executor=None,
-    policy=None,
+    policy: ExecutionPolicy | None = None,
 ) -> Figure8Result:
     """Regenerate Figure 8 on the shared substrate.
 
-    ``n_workers=`` / ``executor=`` (or a bundled
-    :class:`~repro.parallel.ExecutionPolicy` via ``policy=``) batch all
-    four consensus sweeps into one sharded dispatch (serial reference
-    semantics by default); a driver-owned environment is closed on the way
-    out, exception or not.
+    A parallel ``policy=`` (:class:`~repro.parallel.ExecutionPolicy`)
+    batches all four consensus sweeps into one sharded dispatch (serial
+    reference semantics by default); a driver-owned environment is closed
+    on the way out, exception or not.
     """
+    policy = as_policy(policy)
     with owned_environment(environment, config) as environment:
         groups = groups or environment.random_groups()
         points = [
             SweepPoint(groups=groups, consensus=name) for name in CONSENSUS_FUNCTIONS
         ]
-        per_function = environment.run_sweep(
-            points, n_workers=n_workers, executor=executor, policy=policy
-        )
+        per_function = environment.run_sweep(points, policy=policy)
         percent_sa = {
             name: summarize_percent_sa([record.percent_sa for record in records])
             for name, records in zip(CONSENSUS_FUNCTIONS, per_function)

@@ -31,9 +31,7 @@ Usage::
                                                        # instead of /dev/shm
     python -m repro.experiments.runner --kernel fused  # same bit-identical results
                                                        # on the batched numpy round
-                                                       # kernel (``numba`` opts into
-                                                       # the njit tier when the
-                                                       # kernels extra is installed)
+                                                       # kernel
 
 Each experiment prints the same rows/series the paper reports (with the
 paper's own values alongside where they are known).  Quality experiments
@@ -61,13 +59,10 @@ from repro.experiments.scalability import ScalabilityEnvironment
 from repro.parallel import (
     ExecutionPolicy,
     SupervisionPolicy,
+    as_policy,
     executor_names,
     kernel_names,
-    resolve_policy,
     summarise_reports,
-    validate_executor_name,
-    validate_kernel_name,
-    validate_storage_name,
 )
 from repro.study.environment import build_study_environment
 
@@ -88,38 +83,27 @@ EXPERIMENTS = (
 def run_all(
     names: Iterable[str] | None = None,
     print_fn: Callable[[str], None] = print,
-    n_workers: int | None = None,
-    executor: str | None = None,
     supervision: SupervisionPolicy | None = None,
-    storage: str | None = None,
-    kernel: str | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> dict[str, object]:
     """Run the selected experiments (all of them by default) and print their tables.
 
     Returns a mapping from experiment name to its result object, so that the
     function is also usable programmatically (EXPERIMENTS.md was produced from
-    these results).  ``n_workers`` shards the group evaluations of the
-    figure 4-8 drivers across process workers (results are bit-identical to
-    the serial run); ``executor`` picks the backend (``serial``, ``process``,
-    ``persistent`` — a warm worker pool across the whole figure suite, paying
-    spawn and substrate shipment once — or ``supervised``, which adds
-    fault-tolerant dispatch on top of that warm pool and prints a recovery
-    summary at the end).  ``supervision`` overrides the supervised policy
-    (timeouts, retry budget).  ``storage`` picks the column-store backend
-    (``shm`` shared memory or ``mmap`` spool files).  ``kernel`` picks the
-    GRECA round-kernel tier every evaluation runs on (``reference``,
-    ``fused`` or, when the kernels extra is installed, ``numba`` — all
-    bit-identical).  All of these can arrive bundled as one
-    :class:`~repro.parallel.ExecutionPolicy` via ``policy=`` instead —
-    mixing the two spellings raises at the
-    :func:`~repro.parallel.resolve_policy` choice point, and unknown
-    executor, storage or kernel names raise :class:`ValueError` before
-    anything runs.
+    these results).  ``policy=`` (an :class:`~repro.parallel.ExecutionPolicy`,
+    serial by default) shards the group evaluations of the figure 4-8
+    drivers; results are bit-identical to the serial run.  Its ``executor``
+    picks the backend (``serial``, ``process``, ``persistent`` — a warm
+    worker pool across the whole figure suite, paying spawn and substrate
+    shipment once — or ``supervised``, which adds fault-tolerant dispatch
+    on top of that warm pool and prints a recovery summary at the end),
+    ``storage`` the column-store backend (``shm`` shared memory or ``mmap``
+    spool files) and ``kernel`` the GRECA round-kernel tier (``reference``
+    or ``fused``, bit-identical).  ``supervision`` is not a dispatch knob:
+    it overrides the scalability environment's supervised policy (timeouts,
+    retry budget).
     """
-    policy = resolve_policy(
-        policy, n_workers=n_workers, executor=executor, storage=storage, kernel=kernel
-    )
+    policy = as_policy(policy)
     selected = list(names) if names else list(EXPERIMENTS)
     unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
@@ -145,7 +129,6 @@ def run_all(
                 scalability_env.supervision = supervision
         return scalability_env
 
-    knobs = dict(policy=policy)
     try:
         for name in selected:
             print_fn(f"\n=== {name} ===")
@@ -158,15 +141,15 @@ def run_all(
             elif name == "figure3":
                 result = figure3.run(environment=study_environment())
             elif name == "figure4":
-                result = figure4.run(**knobs)
+                result = figure4.run(policy=policy)
             elif name == "figure5":
-                result = figure5.run(environment=scalability_environment(), **knobs)
+                result = figure5.run(environment=scalability_environment(), policy=policy)
             elif name == "figure6":
-                result = figure6.run(environment=scalability_environment(), **knobs)
+                result = figure6.run(environment=scalability_environment(), policy=policy)
             elif name == "figure7":
-                result = figure7.run(environment=scalability_environment(), **knobs)
+                result = figure7.run(environment=scalability_environment(), policy=policy)
             else:
-                result = figure8.run(environment=scalability_environment(), **knobs)
+                result = figure8.run(environment=scalability_environment(), policy=policy)
             results[name] = result
             print_fn(result.format_table())
         if scalability_env is not None and scalability_env.dispatch_reports:
@@ -211,8 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="NAME",
         help='column-store backend for sharded evaluation: "shm" shared '
-        'memory (the default) or "mmap" memory-mapped spool files — the '
-        "same axis ExecutionPolicy(storage=...) bundles programmatically; "
+        'memory (the default) or "mmap" memory-mapped spool files; '
         "unknown names raise ValueError at the single storage choice point",
     )
     parser.add_argument(
@@ -221,8 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="NAME",
         help="GRECA round-kernel tier every evaluation runs on: one of "
         + ", ".join(kernel_names())
-        + " (default: reference; all tiers are bit-identical — the same "
-        "axis ExecutionPolicy(kernel=...) bundles programmatically; unknown "
+        + " (default: reference; all tiers are bit-identical; unknown "
         "names raise ValueError at the single kernel choice point)",
     )
     parser.add_argument(
@@ -270,24 +251,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.kernel is not None:
             forwarded += ["--kernel", args.kernel]
         return service_main(forwarded)
-    if args.storage is not None:
-        # The single storage choice point (repro.parallel.storage
-        # .validate_storage_name): unknown backends fail here, not deep
-        # inside an export.
-        validate_storage_name(args.storage)
-    if args.kernel is not None:
-        # The single kernel choice point (repro.core.kernels
-        # .validate_kernel_name): unknown tiers fail here, not mid-run.
-        validate_kernel_name(args.kernel)
-    if args.executor is not None:
-        # The single choice point (repro.parallel.pool.validate_executor_name):
-        # unknown backends fail here, not deep inside evaluate_tasks.
-        validate_executor_name(args.executor)
-        if args.executor != "serial" and args.workers is None:
-            raise SystemExit(
-                f"--executor {args.executor} needs --workers N "
-                "(process-based backends require an explicit worker count)"
-            )
+    # Building the policy validates every name at its single choice point
+    # (executor, storage, kernel): unknown names fail here, not mid-run.
+    policy = ExecutionPolicy(
+        n_workers=args.workers,
+        executor=args.executor,
+        storage=args.storage,
+        kernel=args.kernel,
+    )
+    if args.executor not in (None, "serial") and args.workers is None:
+        raise SystemExit(
+            f"--executor {args.executor} needs --workers N "
+            "(process-based backends require an explicit worker count)"
+        )
     supervision = None
     if args.shard_timeout is not None or args.retries is not None:
         if args.executor != "supervised":
@@ -308,22 +284,10 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit("--quick does not combine with experiment names")
         from repro.experiments.scalability import run_quick_smoke
 
-        result = run_quick_smoke(
-            n_workers=args.workers,
-            executor=args.executor,
-            storage=args.storage,
-            kernel=args.kernel,
-        )
+        result = run_quick_smoke(policy=policy)
         print(result.format_summary())
         return 0 if result.within_budget else 1
-    run_all(
-        args.experiments or None,
-        n_workers=args.workers,
-        executor=args.executor,
-        supervision=supervision,
-        storage=args.storage,
-        kernel=args.kernel,
-    )
+    run_all(args.experiments or None, supervision=supervision, policy=policy)
     return 0
 
 

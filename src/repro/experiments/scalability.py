@@ -23,8 +23,9 @@ the reuse layer is proven bit-identical to per-point construction by
 ``tests/test_engine_properties.py`` and the golden-grid reuse test.
 
 Group evaluation is embarrassingly parallel — every figure averages over
-independent groups sharing a read-only substrate — so the measurement
-methods accept ``n_workers=`` / ``executor=`` knobs routing the runs through
+independent groups sharing a read-only substrate — so every measurement
+method takes a ``policy=`` (an :class:`~repro.parallel.ExecutionPolicy`;
+``None`` is the serial default) routing the runs through
 :mod:`repro.parallel`: tasks are sharded across process workers, each worker
 receives the memoised per-group factories of its shard (pickled once per
 shard, never rebuilt), and the per-shard records merge back deterministically
@@ -33,11 +34,8 @@ in group order.  Serial stays the default and the reference semantics;
 to it.  :func:`run_paper_scale` drives the full Table 5-scale substrate
 (:meth:`ScalabilityConfig.paper_scale`) through that layer.
 
-Every measurement method also takes the bundled spelling — ``policy=``, an
-:class:`~repro.parallel.ExecutionPolicy` — resolved against the legacy
-keywords at the single :func:`~repro.parallel.resolve_policy` choice point
-(mixing the two spellings raises).  The policy's ``storage`` axis selects
-which column-store backend the environment's registry exports into
+The policy's ``storage`` axis selects which column-store backend the
+environment's registry exports into
 (``"shm"`` shared memory or ``"mmap"`` spool files); the environment keeps
 one registry per backend so both can serve dispatches side by side.  The
 ``kernel`` axis selects the GRECA round-kernel tier
@@ -85,12 +83,12 @@ from repro.parallel import (
     SharedArrayRegistry,
     SupervisedDispatch,
     SupervisionPolicy,
+    as_policy,
     available_cpus,
     evaluate_tasks,
     group_key,
     record_from_result,
     resolve_executor,
-    resolve_policy,
 )
 
 #: Paper defaults (Section 4.2, "Experiment Settings").
@@ -681,12 +679,11 @@ class ScalabilityEnvironment:
         affinity: str = "discrete",
         period: Period | None = None,
         n_items: int | None = None,
-        kernel: str | None = None,
     ) -> float:
         """%SA of one GRECA run for one group (index built through the reuse layer)."""
         consensus_fn = self._consensus_fn(consensus)
         index = self.cached_index(group, period=period, affinity=affinity, n_items=n_items)
-        result = Greca(consensus_fn, k=k or self.config.k, kernel=kernel).run(index)
+        result = Greca(consensus_fn, k=k or self.config.k).run(index)
         return result.percent_sequential_accesses
 
     def task_for(
@@ -698,7 +695,6 @@ class ScalabilityEnvironment:
         period: Period | None = None,
         n_items: int | None = None,
         columnar: bool = True,
-        kernel: str | None = None,
     ) -> GroupEvalTask:
         """Materialise one sweep point as a shippable :class:`GroupEvalTask`.
 
@@ -726,7 +722,6 @@ class ScalabilityEnvironment:
             k=int(k or self.config.k),
             consensus=self._consensus_fn(consensus),
             items=items,
-            kernel=kernel,
         )
         if columnar:
             columns, time_model = self.affinity_columns(group, affinity)
@@ -761,26 +756,21 @@ class ScalabilityEnvironment:
     def evaluate(
         self,
         tasks: Sequence[GroupEvalTask],
-        n_workers: int | None = None,
-        executor: ShardExecutor | str | None = None,
-        supervision: SupervisionPolicy | bool | None = None,
-        fault_plan: FaultPlan | None = None,
-        shipment: str | None = None,
-        storage: str | None = None,
-        kernel: str | None = None,
         policy: ExecutionPolicy | None = None,
+        fault_plan: FaultPlan | None = None,
     ) -> list[GroupRunRecord]:
         """Evaluate materialised tasks, serially or through the sharded layer.
 
-        Without parallel knobs the tasks run in-process in task order through
-        the same ``factory.build`` + :class:`Greca` path the workers use —
-        the serial reference semantics.  With ``n_workers`` (and/or an
-        explicit ``executor``: ``"serial"``, ``"process"``, ``"persistent"``
-        or an instance) the tasks are partitioned into shards, each worker
-        receives its shard's group factories — by zero-copy descriptor for
-        the process-crossing backends, the environment's registry owning the
-        segments — and the per-shard records are merged back
-        deterministically in task order, bit-identical to the serial run
+        Under the default (serial) policy the tasks run in-process in task
+        order through the same ``factory.build`` + :class:`Greca` path the
+        workers use — the serial reference semantics.  A policy with
+        ``n_workers`` (and/or an explicit ``executor``: ``"serial"``,
+        ``"process"``, ``"persistent"``, ``"supervised"`` or an instance)
+        partitions the tasks into shards; each worker receives its shard's
+        group factories — by zero-copy descriptor for the process-crossing
+        backends, the environment's registry owning the segments — and the
+        per-shard records are merged back deterministically in task order,
+        bit-identical to the serial run
         (``tests/test_parallel_equivalence.py``).
         ``executor="persistent"`` reuses one warm worker pool per worker
         count across calls (released by :meth:`close`).
@@ -788,31 +778,19 @@ class ScalabilityEnvironment:
         top of that warm pool, under this environment's :attr:`supervision`
         policy; each supervised dispatch appends its
         :class:`~repro.parallel.DispatchReport` to :attr:`dispatch_reports`.
-        A ``supervision=`` policy (or ``True``) supervises any parallel
-        backend for this call, and ``fault_plan=`` injects deterministic
-        faults (the chaos suite's hook).  Serial evaluation ignores both.
-        ``storage=`` selects the column-store backend descriptor shipment
-        exports into (``"shm"`` shared memory — the default — or ``"mmap"``
-        spool files); the environment keeps one registry per backend.
-        ``kernel=`` selects the round-kernel tier every run executes on; a
-        policy kernel is stamped onto tasks that do not already carry their
-        own, so serial runs and warm-pool workers honour it alike.
-
-        All dispatch knobs can arrive bundled as ``policy=``
-        (:class:`~repro.parallel.ExecutionPolicy`); mixing ``policy=`` with
-        the loose keywords raises at the :func:`~repro.parallel
-        .resolve_policy` choice point.  ``fault_plan`` stays a separate
-        argument — it describes the test harness, not the execution shape.
+        A policy ``supervision`` (a :class:`SupervisionPolicy` or ``True``)
+        supervises any parallel backend for this call, and ``fault_plan=``
+        injects deterministic faults (the chaos suite's hook; it describes
+        the test harness, not the execution shape).  Serial evaluation
+        ignores both.  The policy ``storage`` selects the column-store
+        backend descriptor shipment exports into (``"shm"`` shared memory —
+        the default — or ``"mmap"`` spool files); the environment keeps one
+        registry per backend.  The policy ``kernel`` selects the
+        round-kernel tier every run executes on; it is stamped onto tasks
+        that do not already carry their own, so serial runs and warm-pool
+        workers honour it alike.
         """
-        policy = resolve_policy(
-            policy,
-            n_workers=n_workers,
-            executor=executor,
-            shipment=shipment,
-            supervision=supervision,
-            storage=storage,
-            kernel=kernel,
-        )
+        policy = as_policy(policy)
         if policy.kernel is not None:
             # The policy's kernel travels inside each task (that is what warm
             # persistent-pool workers read); tasks carrying an explicit
@@ -849,7 +827,6 @@ class ScalabilityEnvironment:
             factories,
             n_shards=policy.n_workers,
             executor=backend,
-            shipment=policy.shipment,
             registry=registry,
             storage=policy.storage,
             supervision=policy.supervision,
@@ -865,33 +842,18 @@ class ScalabilityEnvironment:
         affinity: str = "discrete",
         period: Period | None = None,
         n_items: int | None = None,
-        n_workers: int | None = None,
-        executor: ShardExecutor | str | None = None,
-        supervision: SupervisionPolicy | bool | None = None,
-        fault_plan: FaultPlan | None = None,
-        shipment: str | None = None,
-        storage: str | None = None,
-        kernel: str | None = None,
         policy: ExecutionPolicy | None = None,
+        fault_plan: FaultPlan | None = None,
     ) -> list[GroupRunRecord]:
         """One GRECA run record per group, in group order.
 
-        Serial (the default) goes through :meth:`cached_index`, so repeated
-        sweep points reuse finished index objects outright; the sharded path
-        (``n_workers=`` / ``executor=``, or a bundled ``policy=``) ships
-        each shard the memoised factories of its groups and rebuilds the
-        per-point indexes worker-side — a bit-identical computation by the
-        reuse layer's equivalence guarantee.
+        Serial (the default policy) goes through :meth:`cached_index`, so
+        repeated sweep points reuse finished index objects outright; a
+        parallel ``policy=`` ships each shard the memoised factories of its
+        groups and rebuilds the per-point indexes worker-side — a
+        bit-identical computation by the reuse layer's equivalence guarantee.
         """
-        policy = resolve_policy(
-            policy,
-            n_workers=n_workers,
-            executor=executor,
-            shipment=shipment,
-            supervision=supervision,
-            storage=storage,
-            kernel=kernel,
-        )
+        policy = as_policy(policy)
         if policy.is_serial:
             consensus_fn = self._consensus_fn(consensus)
             records = []
@@ -912,7 +874,6 @@ class ScalabilityEnvironment:
                 affinity=affinity,
                 period=period,
                 n_items=n_items,
-                columnar=policy.columnar,
             )
             for group in groups
         ]
@@ -921,20 +882,15 @@ class ScalabilityEnvironment:
     def run_sweep(
         self,
         points: Sequence[SweepPoint],
-        n_workers: int | None = None,
-        executor: ShardExecutor | str | None = None,
-        supervision: SupervisionPolicy | bool | None = None,
-        fault_plan: FaultPlan | None = None,
-        shipment: str | None = None,
-        storage: str | None = None,
-        kernel: str | None = None,
         policy: ExecutionPolicy | None = None,
+        fault_plan: FaultPlan | None = None,
     ) -> list[list[GroupRunRecord]]:
         """Evaluate many sweep points; one record list per point, in point order.
 
-        Serial (the default) runs each point through :meth:`run_records` —
-        the reference semantics, reusing finished indexes outright.  With
-        parallel knobs every point's tasks are materialised up front and
+        Serial (the default policy) runs each point through
+        :meth:`run_records` — the reference semantics, reusing finished
+        indexes outright.  Under a parallel ``policy=`` every point's tasks
+        are materialised up front and
         **batched into one dispatch**: tasks are ordered group-major (so a
         contiguous shard plan ships each group's factory — and its affinity
         columns — to as few shards as possible, one payload per (shard,
@@ -944,15 +900,7 @@ class ScalabilityEnvironment:
         dispatch per point.  Records are bit-identical to the per-point
         serial runs (``tests/test_parallel_equivalence.py``).
         """
-        policy = resolve_policy(
-            policy,
-            n_workers=n_workers,
-            executor=executor,
-            shipment=shipment,
-            supervision=supervision,
-            storage=storage,
-            kernel=kernel,
-        )
+        policy = as_policy(policy)
         if policy.is_serial:
             return [
                 self.run_records(
@@ -962,7 +910,7 @@ class ScalabilityEnvironment:
                     affinity=point.affinity,
                     period=point.period,
                     n_items=point.n_items,
-                    kernel=policy.kernel,
+                    policy=policy,
                 )
                 for point in points
             ]
@@ -976,7 +924,6 @@ class ScalabilityEnvironment:
                     affinity=point.affinity,
                     period=point.period,
                     n_items=point.n_items,
-                    columnar=policy.columnar,
                 )
                 entries.append((task.group, point_index, position, task))
         entries.sort(key=lambda entry: entry[:3])
@@ -998,16 +945,12 @@ class ScalabilityEnvironment:
         affinity: str = "discrete",
         period: Period | None = None,
         n_items: int | None = None,
-        n_workers: int | None = None,
-        executor: ShardExecutor | str | None = None,
-        storage: str | None = None,
-        kernel: str | None = None,
         policy: ExecutionPolicy | None = None,
     ) -> AccessStats:
         """Average %SA over a collection of groups (one GRECA run each).
 
-        ``n_workers=`` / ``executor=`` (or a bundled ``policy=``) route the
-        runs through the sharded layer; the per-group %SA values are merged
+        A parallel ``policy=`` routes the runs through the sharded layer;
+        the per-group %SA values are merged
         back in group order before averaging, so the reported mean and
         standard error are bit-identical to the serial run.
         """
@@ -1018,13 +961,7 @@ class ScalabilityEnvironment:
             affinity=affinity,
             period=period,
             n_items=n_items,
-            policy=resolve_policy(
-                policy,
-                n_workers=n_workers,
-                executor=executor,
-                storage=storage,
-                kernel=kernel,
-            ),
+            policy=policy,
         )
         return summarize_percent_sa([record.percent_sa for record in records])
 
@@ -1102,10 +1039,6 @@ def run_quick_smoke(
     total_budget: float = QUICK_SMOKE_TOTAL_BUDGET,
     measure_budget: float = QUICK_SMOKE_MEASURE_BUDGET,
     config: ScalabilityConfig | None = None,
-    n_workers: int | None = None,
-    executor: ShardExecutor | str | None = None,
-    storage: str | None = None,
-    kernel: str | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> QuickSmokeResult:
     """Run one default scalability point under a wall-clock budget.
@@ -1118,15 +1051,14 @@ def run_quick_smoke(
     :attr:`QuickSmokeResult.within_budget` is ``False``.
 
     Serial (the default, and what the budgets are calibrated against)
-    measures the engine alone over pre-built indexes.  With ``n_workers=``
-    the measured phase instead routes the same groups through the sharded
-    layer, so it additionally covers shard planning, factory shipment and the
-    order-restoring merge — the statistics are bit-identical either way.
+    measures the engine alone over pre-built indexes.  Under a parallel
+    ``policy=`` the measured phase instead routes the same groups through
+    the sharded layer, so it additionally covers shard planning, factory
+    shipment and the order-restoring merge — the statistics are
+    bit-identical either way.
     """
     start = time.perf_counter()
-    policy = resolve_policy(
-        policy, n_workers=n_workers, executor=executor, storage=storage, kernel=kernel
-    )
+    policy = as_policy(policy)
     environment = ScalabilityEnvironment(config)
     try:
         return _run_quick_smoke(
@@ -1208,7 +1140,7 @@ class PaperScaleResult:
     serial_seconds: float
     sharded_seconds: float
     setup_seconds: float
-    n_workers: int
+    n_workers: int | None
     n_tasks: int
     n_groups: int
     n_periods: int
@@ -1237,28 +1169,27 @@ class PaperScaleResult:
 
 
 def run_paper_scale(
-    n_workers: int = 4,
-    executor: ShardExecutor | str | None = None,
+    policy: ExecutionPolicy | None = None,
     config: ScalabilityConfig | None = None,
     environment: ScalabilityEnvironment | None = None,
-    storage: str | None = None,
-    kernel: str | None = None,
 ) -> PaperScaleResult:
     """Run the full MovieLens-1M-scale substrate through the sharded path.
 
     Builds the :meth:`ScalabilityConfig.paper_scale` environment (unless one
     is supplied), materialises the all-periods × all-groups task list once,
-    then times the serial reference evaluation against one sharded dispatch
-    at ``n_workers`` shards and verifies the merged records are
+    then times the serial reference evaluation (on the policy's kernel)
+    against one dispatch under ``policy`` — by default
+    ``ExecutionPolicy(n_workers=4)`` — and verifies the merged records are
     bit-identical.  ``scripts/bench_engine.py --paper-scale`` appends the
     outcome to ``BENCH_engine.json``.
     """
     start = time.perf_counter()
+    policy = ExecutionPolicy(n_workers=4) if policy is None else as_policy(policy)
     owns_environment = environment is None
     if environment is None:
         environment = ScalabilityEnvironment(config or ScalabilityConfig.paper_scale())
     try:
-        return _run_paper_scale(environment, start, n_workers, executor, storage, kernel)
+        return _run_paper_scale(environment, start, policy)
     finally:
         if owns_environment:
             environment.close()
@@ -1267,10 +1198,7 @@ def run_paper_scale(
 def _run_paper_scale(
     environment: ScalabilityEnvironment,
     start: float,
-    n_workers: int,
-    executor: ShardExecutor | str | None,
-    storage: str | None = None,
-    kernel: str | None = None,
+    policy: ExecutionPolicy,
 ) -> PaperScaleResult:
     groups = environment.random_groups()
     periods = list(environment.timeline)
@@ -1285,13 +1213,13 @@ def _run_paper_scale(
     setup_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    serial_records = environment.evaluate(tasks, kernel=kernel)
+    serial_records = environment.evaluate(
+        tasks, policy=ExecutionPolicy(kernel=policy.kernel)
+    )
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    sharded_records = environment.evaluate(
-        tasks, n_workers=n_workers, executor=executor, storage=storage, kernel=kernel
-    )
+    sharded_records = environment.evaluate(tasks, policy=policy)
     sharded_seconds = time.perf_counter() - start
 
     stats = summarize_percent_sa([record.percent_sa for record in sharded_records])
@@ -1300,7 +1228,7 @@ def _run_paper_scale(
         serial_seconds=serial_seconds,
         sharded_seconds=sharded_seconds,
         setup_seconds=setup_seconds,
-        n_workers=n_workers,
+        n_workers=policy.n_workers,
         n_tasks=len(tasks),
         n_groups=len(groups),
         n_periods=len(periods),

@@ -34,10 +34,9 @@ keeping the serial semantics bit-exact:
   spilled to automatically past a configurable shm budget;
 * :mod:`repro.parallel.policy` — :class:`ExecutionPolicy`, the one frozen
   bundle of every dispatch knob (``n_workers`` / ``executor`` /
-  ``shipment`` / ``supervision`` / ``columnar`` / ``storage`` /
-  ``kernel``), resolved against the legacy keyword spellings at a single
-  choice point (:func:`resolve_policy`).  The ``kernel`` knob selects the
-  GRECA round-kernel tier (:mod:`repro.core.kernels`) each worker runs;
+  ``supervision`` / ``storage`` / ``kernel``) that every entry point takes
+  as ``policy=``.  The ``kernel`` knob selects the GRECA round-kernel tier
+  (:mod:`repro.core.kernels`) each worker runs;
   :func:`repro.core.kernels.validate_kernel_name` is re-exported here
   beside its executor/storage siblings.
 
@@ -50,7 +49,6 @@ and both shipment modes.
 
 from repro.core.kernels import (
     KERNEL_FUSED,
-    KERNEL_NUMBA,
     KERNEL_REFERENCE,
     kernel_names,
     validate_kernel_name,
@@ -61,7 +59,6 @@ from repro.parallel.pool import (
     EXECUTOR_PERSISTENT,
     EXECUTOR_PROCESS,
     EXECUTOR_SERIAL,
-    PersistentPool,
     PersistentShardExecutor,
     ProcessShardExecutor,
     SerialShardExecutor,
@@ -84,7 +81,7 @@ from repro.parallel.resilience import (
     fault_plan_from_env,
     summarise_reports,
 )
-from repro.parallel.policy import ExecutionPolicy, resolve_policy
+from repro.parallel.policy import ExecutionPolicy, as_policy
 from repro.parallel.sharding import ShardPlan, plan_shards
 from repro.parallel.shm import (
     SHIPMENT_PICKLE,
@@ -130,10 +127,8 @@ __all__ = [
     "GroupEvalTask",
     "GroupRunRecord",
     "KERNEL_FUSED",
-    "KERNEL_NUMBA",
     "KERNEL_REFERENCE",
     "MappedFileSegment",
-    "PersistentPool",
     "PersistentShardExecutor",
     "ProcessShardExecutor",
     "SHIPMENT_PICKLE",
@@ -157,6 +152,7 @@ __all__ = [
     "VALID_KERNELS",
     "VALID_SHIPMENTS",
     "VALID_STORAGES",
+    "as_policy",
     "attach_array",
     "available_cpus",
     "build_payloads",
@@ -173,7 +169,6 @@ __all__ = [
     "register_executor",
     "resolve_executor",
     "resolve_factory",
-    "resolve_policy",
     "run_shard",
     "run_task",
     "summarise_reports",

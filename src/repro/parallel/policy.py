@@ -1,60 +1,45 @@
-"""One frozen :class:`ExecutionPolicy` for the dispatch knob sprawl.
+"""One frozen :class:`ExecutionPolicy`: how a dispatch runs.
 
-Eight PRs grew the parallel layer one keyword at a time: ``n_workers=`` /
-``executor=`` (PR 3), ``shipment=`` (PR 4), ``columnar=`` (PR 5),
-``supervision=`` (PR 6), ``storage=`` (PR 9) and now ``kernel=``
-(PR 10).  Every entry point —
+Every entry point that evaluates groups —
 ``ScalabilityEnvironment.evaluate`` / ``run_records`` / ``run_sweep`` /
-``average_percent_sa``, the figure drivers, the runner and
-``ServiceConfig`` — threads the same bundle, so this module collapses it
-into a single frozen dataclass with one validation/resolution choice point:
-
-* :class:`ExecutionPolicy` — the bundle, validated on construction through
-  the same registries the loose knobs used (``pool.validate_executor_name``,
-  ``shm.VALID_SHIPMENTS``, ``storage.validate_storage_name``,
-  ``kernels.validate_kernel_name``).
-* :func:`resolve_policy` — the back-compat shim every entry point calls:
-  legacy keywords still work exactly as before, ``policy=`` supersedes
-  them, and *mixing the two spellings is an error* (silently preferring one
-  would hide a conflicting intent).
-
-The default policy is the serial reference semantics (no workers, no
-executor), mirroring the behaviour every entry point has always had when
-called without knobs.
+``average_percent_sa``, :func:`~repro.experiments.scalability.run_quick_smoke`,
+:func:`~repro.experiments.scalability.run_paper_scale`, the figure 4–8
+drivers, the runner and ``ServiceConfig`` — takes its dispatch shape as a
+single ``policy=`` argument.  ``None`` means ``ExecutionPolicy()``: the
+serial reference path.  Every field is validated on construction through
+the same registries the rest of the system uses
+(``pool.validate_executor_name``, ``storage.validate_storage_name``,
+``kernels.validate_kernel_name``).  Every policy is bit-identical to the
+serial reference, so a policy only changes where and how fast work runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.kernels import KERNEL_REFERENCE, validate_kernel_name
+from repro.core.kernels import validate_kernel_name
 from repro.exceptions import ConfigurationError
 from repro.parallel.pool import ShardExecutor, validate_executor_name
 from repro.parallel.resilience import SupervisionPolicy
-from repro.parallel.shm import VALID_SHIPMENTS
 from repro.parallel.storage import STORAGE_SHM, validate_storage_name
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How one dispatch runs: workers, backend, shipment, supervision, storage.
+    """How one dispatch runs: workers, backend, supervision, storage, kernel.
 
-    ``None`` fields keep their historical defaults downstream: no workers
-    and no executor mean the serial reference path, ``shipment=None``
-    defaults per backend (descriptor shipment when the backend ships
-    payloads to other processes), ``storage=None`` means shared memory,
-    ``supervision=None`` means whatever the executor itself provides, and
-    ``kernel=None`` means the reference round kernel (every registered
-    kernel is bit-identical, so this is a pure performance knob).
-    ``columnar`` selects descriptor-ready affinity columns when tasks are
-    materialised (the PR 5 default).
+    ``None`` fields keep their defaults downstream: no workers and no
+    executor mean the serial reference path, ``storage=None`` means shared
+    memory, ``supervision=None`` means whatever the executor itself
+    provides, and ``kernel=None`` means the reference round kernel (every
+    registered kernel is bit-identical, so this is a pure performance knob).
+    Payload shipment follows the backend: descriptors whenever payloads
+    cross a process boundary.
     """
 
     n_workers: int | None = None
     executor: str | ShardExecutor | None = None
-    shipment: str | None = None
     supervision: SupervisionPolicy | bool | None = None
-    columnar: bool = True
     storage: str | None = None
     kernel: str | None = None
 
@@ -69,11 +54,6 @@ class ExecutionPolicy:
             raise ConfigurationError(
                 "executor must be a backend name or a ShardExecutor instance, "
                 f"got {type(self.executor).__name__}"
-            )
-        if self.shipment is not None and self.shipment not in VALID_SHIPMENTS:
-            valid = ", ".join(repr(name) for name in VALID_SHIPMENTS)
-            raise ValueError(
-                f"unknown shipment {self.shipment!r}: valid shipments are {valid}"
             )
         if self.storage is not None:
             validate_storage_name(self.storage)
@@ -97,60 +77,13 @@ class ExecutionPolicy:
         """The effective storage backend (default: shared memory)."""
         return self.storage or STORAGE_SHM
 
-    @property
-    def kernel_name(self) -> str:
-        """The effective round kernel (default: the reference tier)."""
-        return self.kernel or KERNEL_REFERENCE
 
-
-def resolve_policy(
-    policy: ExecutionPolicy | None = None,
-    *,
-    n_workers: int | None = None,
-    executor: str | ShardExecutor | None = None,
-    shipment: str | None = None,
-    supervision: SupervisionPolicy | bool | None = None,
-    columnar: bool | None = None,
-    storage: str | None = None,
-    kernel: str | None = None,
-) -> ExecutionPolicy:
-    """The single resolution choice point behind every ``policy=`` entry point.
-
-    Legacy keyword spellings are folded into a fresh :class:`ExecutionPolicy`
-    (validating them exactly as the policy constructor does); an explicit
-    ``policy=`` is returned as-is.  Passing both spellings at once raises —
-    the caller's intent would be ambiguous.
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("n_workers", n_workers),
-            ("executor", executor),
-            ("shipment", shipment),
-            ("supervision", supervision),
-            ("columnar", columnar),
-            ("storage", storage),
-            ("kernel", kernel),
+def as_policy(policy: ExecutionPolicy | None) -> ExecutionPolicy:
+    """The ``policy=`` boundary check: ``None`` is the serial default."""
+    if policy is None:
+        return ExecutionPolicy()
+    if not isinstance(policy, ExecutionPolicy):
+        raise ConfigurationError(
+            f"policy must be an ExecutionPolicy, got {type(policy).__name__}"
         )
-        if value is not None
-    }
-    if policy is not None:
-        if not isinstance(policy, ExecutionPolicy):
-            raise ConfigurationError(
-                f"policy must be an ExecutionPolicy, got {type(policy).__name__}"
-            )
-        if legacy:
-            spelt = ", ".join(sorted(legacy))
-            raise ConfigurationError(
-                f"pass either policy= or the legacy keywords ({spelt}), not both"
-            )
-        return policy
-    return ExecutionPolicy(
-        n_workers=n_workers,
-        executor=executor,
-        shipment=shipment,
-        supervision=supervision,
-        columnar=True if columnar is None else columnar,
-        storage=storage,
-        kernel=kernel,
-    )
+    return policy

@@ -38,13 +38,12 @@ of it.  Both :func:`resolve_executor` (the library path) and the runner's
 ``--executor`` flag go through it, so an unknown name fails at the choice
 point instead of deep inside ``evaluate_tasks``.
 
-The same registry pattern is mirrored by two sibling choice points:
+The same registry pattern is mirrored by a sibling choice point:
 ``storage=`` strings validate through
 :func:`repro.parallel.storage.validate_storage_name` (``"shm"`` /
-``"mmap"`` column-store backends), and the whole knob bundle — workers,
-executor, shipment, supervision, columnar, storage — resolves through
-:func:`repro.parallel.policy.resolve_policy` into one frozen
-:class:`~repro.parallel.policy.ExecutionPolicy`.
+``"mmap"`` column-store backends).  Callers above this layer pick an
+executor through the ``executor`` field of one frozen
+:class:`~repro.parallel.policy.ExecutionPolicy` passed as ``policy=``.
 
 The context-managed shared-memory registry that guarantees segment unlink on
 exit/failure lives in :mod:`repro.parallel.shm` and is re-exported here as
@@ -298,10 +297,6 @@ class PersistentShardExecutor(ShardExecutor):
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
-
-
-#: Issue-facing alias: the persistent pool *is* the executor.
-PersistentPool = PersistentShardExecutor
 
 
 def resolve_executor(

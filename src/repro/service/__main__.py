@@ -23,6 +23,7 @@ import asyncio
 import sys
 
 from repro.experiments.scalability import ScalabilityConfig
+from repro.parallel import ExecutionPolicy
 from repro.service.loadgen import default_queries, run_load, summarise_latencies
 from repro.service.service import GrecaService, GroupQuery, ServiceConfig
 
@@ -83,18 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--storage",
         default=None,
         help='column-store backend dispatches export into: "shm" shared '
-        'memory (the default) or "mmap" spool files — the same axis '
-        "ExecutionPolicy(storage=...) bundles programmatically; validated "
-        "at the repro.parallel.storage choice point",
+        'memory (the default) or "mmap" spool files; validated at the '
+        "repro.parallel.storage choice point",
     )
     parser.add_argument(
         "--kernel",
         default=None,
         help='GRECA round-kernel tier batches run on: "reference" (the '
-        'default), "fused" (batched numpy gather/scatter) or "numba" '
-        "(opt-in njit, needs the kernels extra) — the same axis "
-        "ExecutionPolicy(kernel=...) bundles programmatically; validated "
-        "at the repro.core.kernels choice point",
+        'default) or "fused" (batched numpy gather/scatter); validated at '
+        "the repro.core.kernels choice point",
     )
     parser.add_argument("--clients", type=int, default=4, help="concurrent clients")
     parser.add_argument("--queries", type=int, default=5, help="queries per client")
@@ -125,14 +123,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def run(args: argparse.Namespace) -> int:
-    service_config = ServiceConfig(
+def build_policy(args: argparse.Namespace) -> ExecutionPolicy:
+    """The dispatch policy the CLI flags describe.
+
+    ``--executor reference`` is the in-process serial path, so it ignores
+    ``--workers``.
+    """
+    if args.executor == "reference":
+        return ExecutionPolicy(storage=args.storage, kernel=args.kernel)
+    return ExecutionPolicy(
         n_workers=args.workers,
-        executor=None if args.executor == "reference" else args.executor,
-        max_batch_size=args.batch_size,
-        max_batch_delay=args.batch_delay,
+        executor=args.executor,
         storage=args.storage,
         kernel=args.kernel,
+    )
+
+
+async def run(args: argparse.Namespace) -> int:
+    service_config = ServiceConfig(
+        max_batch_size=args.batch_size,
+        max_batch_delay=args.batch_delay,
+        policy=build_policy(args),
     )
     service = GrecaService(
         config=service_config,

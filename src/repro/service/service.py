@@ -48,11 +48,9 @@ from repro.parallel import (
     FaultPlan,
     GroupEvalTask,
     GroupRunRecord,
+    as_policy,
     group_key,
     run_task,
-    validate_executor_name,
-    validate_kernel_name,
-    validate_storage_name,
 )
 
 #: Queue sentinel that tells the batch loop to finish the current backlog
@@ -64,90 +62,31 @@ _SHUTDOWN = object()
 class ServiceConfig:
     """Knobs of the serving layer.
 
-    ``executor=None`` serves every batch through the in-process serial
-    reference path (useful as a latency baseline and for equivalence
-    harnesses); the default routes batches through the supervised
-    fault-tolerant tier over the environment's warm persistent pool.
-    ``max_batch_delay`` is the coalescing window: after the first query of
-    a batch arrives, the batcher waits at most this long (seconds) for
-    companions before dispatching.  ``max_queue`` bounds the submit queue —
-    a full queue sheds load with :class:`ServiceError` instead of growing
-    without bound.
-
-    ``storage`` selects the column-store backend dispatches export into
-    (``"shm"`` shared memory — the default — or ``"mmap"`` spool files);
-    ``kernel`` selects the GRECA round-kernel tier every batch's runs
-    execute on (``None`` = the reference tier; all registered kernels are
-    bit-identical).  The execution knobs can instead arrive bundled as
-    ``policy=`` (an :class:`~repro.parallel.ExecutionPolicy`); combining
-    ``policy=`` with a non-default ``n_workers`` / ``executor`` /
-    ``storage`` / ``kernel`` raises, mirroring the
-    :func:`~repro.parallel.resolve_policy` mixing rule.
+    ``policy`` is the :class:`~repro.parallel.ExecutionPolicy` every batch
+    runs under.  The default routes batches through the supervised
+    fault-tolerant tier over the environment's warm two-worker persistent
+    pool; a serial ``ExecutionPolicy()`` serves every batch through the
+    in-process reference path (a latency baseline and an equivalence
+    harness).  ``max_batch_delay`` is the coalescing window: after the
+    first query of a batch arrives, the batcher waits at most this long
+    (seconds) for companions before dispatching.  ``max_queue`` bounds the
+    submit queue — a full queue sheds load with :class:`ServiceError`
+    instead of growing without bound.
     """
 
-    n_workers: int = 2
-    executor: str | None = EXECUTOR_SUPERVISED
     max_batch_size: int = 32
     max_batch_delay: float = 0.005
     max_queue: int = 1024
-    storage: str | None = None
-    kernel: str | None = None
-    policy: ExecutionPolicy | None = None
+    policy: ExecutionPolicy = ExecutionPolicy(n_workers=2, executor=EXECUTOR_SUPERVISED)
 
     def __post_init__(self) -> None:
-        if self.policy is not None:
-            if not isinstance(self.policy, ExecutionPolicy):
-                raise ConfigurationError(
-                    f"policy must be an ExecutionPolicy, got {type(self.policy).__name__}"
-                )
-            mixed = [
-                name
-                for name, value, default in (
-                    ("n_workers", self.n_workers, 2),
-                    ("executor", self.executor, EXECUTOR_SUPERVISED),
-                    ("storage", self.storage, None),
-                    ("kernel", self.kernel, None),
-                )
-                if value != default
-            ]
-            if mixed:
-                spelt = ", ".join(sorted(mixed))
-                raise ConfigurationError(
-                    f"pass either policy= or the legacy knobs ({spelt}), not both"
-                )
-        if self.executor is not None:
-            validate_executor_name(self.executor)
-        if self.storage is not None:
-            validate_storage_name(self.storage)
-        if self.kernel is not None:
-            validate_kernel_name(self.kernel)
-        if self.n_workers < 1:
-            raise ConfigurationError("n_workers must be >= 1")
+        as_policy(self.policy)
         if self.max_batch_size < 1:
             raise ConfigurationError("max_batch_size must be >= 1")
         if self.max_batch_delay < 0:
             raise ConfigurationError("max_batch_delay must be >= 0")
         if self.max_queue < 1:
             raise ConfigurationError("max_queue must be >= 1")
-
-    def execution_policy(self) -> ExecutionPolicy:
-        """The dispatch policy every batch runs under (one resolution point).
-
-        An explicit ``policy=`` wins.  Otherwise the legacy knobs fold in:
-        ``executor=None`` keeps its historical meaning — the in-process
-        serial reference path, ``n_workers`` notwithstanding — and any other
-        executor runs sharded at ``n_workers`` over ``storage``.
-        """
-        if self.policy is not None:
-            return self.policy
-        if self.executor is None:
-            return ExecutionPolicy(storage=self.storage, kernel=self.kernel)
-        return ExecutionPolicy(
-            n_workers=self.n_workers,
-            executor=self.executor,
-            storage=self.storage,
-            kernel=self.kernel,
-        )
 
 
 @dataclass(frozen=True)
@@ -443,6 +382,12 @@ class GrecaService:
         merge_start = time.perf_counter()
         self.batch_sizes.append(len(batch))
         for position, pending in enumerate(batch):
+            if pending.future.done():
+                continue
+            outcome = by_position[position]
+            if isinstance(outcome, Exception):
+                pending.future.set_exception(outcome)
+                continue
             now = time.perf_counter()
             latency = QueryLatency(
                 queue_seconds=picked_up - pending.enqueued_at,
@@ -451,15 +396,14 @@ class GrecaService:
                 total_seconds=now - pending.enqueued_at,
                 batch_size=len(batch),
             )
-            if not pending.future.done():
-                pending.future.set_result(
-                    QueryResponse(
-                        query=pending.query,
-                        record=by_position[position],
-                        latency=latency,
-                        report=report,
-                    )
+            pending.future.set_result(
+                QueryResponse(
+                    query=pending.query,
+                    record=outcome,
+                    latency=latency,
+                    report=report,
                 )
+            )
 
     @staticmethod
     def _fail_batch(batch: list, exc: BaseException) -> None:
@@ -478,19 +422,29 @@ class GrecaService:
         one epoch.  Group-major order is run_sweep's batching discipline,
         shipping each group's factory (and affinity columns) to as few
         shards as possible.
+
+        Each query materialises on its own: a query whose ``task_for``
+        raises (an out-of-range ``period_index``, say) maps to its exception
+        in the returned ``{position: record or exception}``, and the rest of
+        the batch is evaluated without it.
         """
+        by_position: dict[int, GroupRunRecord | Exception] = {}
         entries: list[tuple[tuple[int, ...], int, GroupEvalTask]] = []
         for position, query in enumerate(queries):
-            task = self.task_for(query)
+            try:
+                task = self.task_for(query)
+            except Exception as exc:
+                by_position[position] = exc
+                continue
             entries.append((task.group, position, task))
+        if not entries:
+            return by_position, None, 0.0
         entries.sort(key=lambda entry: entry[:2])
         records, report, dispatch_seconds = self._evaluate(
             [entry[2] for entry in entries]
         )
-        by_position = {
-            position: record
-            for (_group, position, _task), record in zip(entries, records)
-        }
+        for (_group, position, _task), record in zip(entries, records):
+            by_position[position] = record
         return by_position, report, dispatch_seconds
 
     def _evaluate(
@@ -502,7 +456,7 @@ class GrecaService:
         start = time.perf_counter()
         records = environment.evaluate(
             tasks,
-            policy=self.config.execution_policy(),
+            policy=self.config.policy,
             fault_plan=self.fault_plan,
         )
         dispatch_seconds = time.perf_counter() - start

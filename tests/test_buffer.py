@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.buffer import BufferedItem, CandidateBuffer
+from repro.core.buffer import BufferedItem, ColumnarCandidateBuffer
 from repro.exceptions import AlgorithmError
 
 
@@ -17,7 +17,7 @@ class TestBufferedItem:
 class TestCandidateBuffer:
     @pytest.fixture()
     def buffer(self):
-        buffer = CandidateBuffer()
+        buffer = ColumnarCandidateBuffer()
         buffer.update("a", 0.8, 0.9)
         buffer.update("b", 0.5, 0.95)
         buffer.update("c", 0.4, 0.6)
@@ -62,7 +62,7 @@ class TestCandidateBuffer:
         assert buffer.satisfies_buffer_condition(1)
 
     def test_buffer_condition_with_exactly_k_items(self):
-        buffer = CandidateBuffer()
+        buffer = ColumnarCandidateBuffer()
         buffer.update("a", 0.3, 0.9)
         buffer.update("b", 0.2, 0.8)
         assert buffer.satisfies_buffer_condition(2)  # nothing left to prune
@@ -73,7 +73,7 @@ class TestCandidateBuffer:
         assert buffer.max_upper_bound_outside_top_k(4) is None
 
     def test_tie_breaking_is_deterministic(self):
-        buffer = CandidateBuffer()
+        buffer = ColumnarCandidateBuffer()
         buffer.update(2, 0.5, 0.6)
         buffer.update(1, 0.5, 0.6)
         ranked = [entry.item for entry in buffer.ranked_by_lower_bound()]

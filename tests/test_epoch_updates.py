@@ -214,13 +214,15 @@ def test_new_user_delta_falls_back_to_full_rebuild(base_substrate, deltas, group
 def test_incremental_persistent_matrix(evolved, oracle_env, groups, n_shards):
     """Warm persistent pools over post-delta state, shard counts {1, 2, 3, 7}."""
     env, _ = evolved
-    sharded = env.run_records(groups, n_workers=n_shards, executor="persistent")
+    sharded = env.run_records(
+        groups, policy=ExecutionPolicy(n_workers=n_shards, executor="persistent")
+    )
     assert_records_identical(sharded, oracle_env.run_records(groups))
 
 
 def test_incremental_supervised_matches_oracle(evolved, oracle_env, groups):
     env, _ = evolved
-    sharded = env.run_records(groups, n_workers=2, executor="supervised")
+    sharded = env.run_records(groups, policy=ExecutionPolicy(n_workers=2, executor="supervised"))
     assert_records_identical(sharded, oracle_env.run_records(groups))
     assert env.dispatch_reports[-1].ok
 
@@ -240,13 +242,14 @@ def test_incremental_process_shipment_matrix(evolved, oracle_env, groups, shipme
 def test_epoch_adoption_keeps_warm_pools_alive(base_substrate, deltas, groups, oracle_env):
     """Zero pool restarts: the pre-delta pool object survives every epoch."""
     env = ScalabilityEnvironment(CONFIG, substrate=base_substrate)
-    env.run_records(groups, n_workers=2, executor="persistent")  # warm epoch 0
+    persistent = ExecutionPolicy(n_workers=2, executor="persistent")
+    env.run_records(groups, policy=persistent)  # warm epoch 0
     pool = env._persistent_pools[2]
     inner = pool._pool
     registry = env._shared_registry()
     for delta in deltas:
         env.apply_delta(delta)
-    post = env.run_records(groups, n_workers=2, executor="persistent")
+    post = env.run_records(groups, policy=persistent)
     # Same pool wrapper, same live ProcessPoolExecutor, same registry object —
     # the new epoch was adopted by the existing workers, not by replacements.
     assert env._persistent_pools[2] is pool and pool._pool is inner
@@ -330,7 +333,7 @@ def test_service_adopts_epochs_between_query_waves(
     """
     env = ScalabilityEnvironment(CONFIG, substrate=base_substrate)
     wave1_expected = env.run_records(groups)  # also warms the caches pre-delta
-    config = ServiceConfig(n_workers=2, executor="supervised", max_batch_delay=0.01)
+    config = ServiceConfig(max_batch_delay=0.01)
 
     async def session():
         service = GrecaService(environment=env, config=config)

@@ -37,6 +37,7 @@ from repro.exceptions import (
 )
 from repro.parallel import (
     DispatchReport,
+    ExecutionPolicy,
     FaultPlan,
     FaultSpec,
     GroupEvalTask,
@@ -60,6 +61,10 @@ from test_shm_lifecycle import assert_unlinked
 
 #: Fast-retry policy for chaos runs: tiny backoff, generous shard budget.
 FAST = dict(max_retries=2, backoff_base=0.001)
+
+#: The two warm-pool dispatch policies the environment-level cases use.
+PERSISTENT_POLICY = ExecutionPolicy(n_workers=2, executor="persistent")
+SUPERVISED_POLICY = ExecutionPolicy(n_workers=2, executor="supervised")
 
 
 def _make_factory(members, seed):
@@ -545,14 +550,14 @@ def test_environment_close_is_idempotent_and_reopens(small_environment):
     env = small_environment
     groups = env.random_groups()
     serial = env.run_records(groups)
-    parallel = env.run_records(groups, n_workers=2, executor="persistent")
+    parallel = env.run_records(groups, policy=PERSISTENT_POLICY)
     assert parallel == serial
     names = env._shared_registry().segment_names
     env.close()
     env.close()  # idempotent: a second close must be a no-op, not an error
     assert_unlinked(names)
     # ...and the next parallel dispatch lazily recreates pool and registry.
-    again = env.run_records(groups, n_workers=2, executor="persistent")
+    again = env.run_records(groups, policy=PERSISTENT_POLICY)
     assert again == serial
 
 
@@ -564,10 +569,10 @@ def test_environment_survives_mid_sweep_worker_crash(small_environment):
     tasks = [env.task_for(group) for group in groups]
     crash = FaultPlan((FaultSpec(shard=0, position=0, mode="crash", fires=99),))
     with pytest.raises(BrokenProcessPool):
-        env.evaluate(tasks, n_workers=2, executor="persistent", fault_plan=crash)
+        env.evaluate(tasks, policy=PERSISTENT_POLICY, fault_plan=crash)
     # No manual close() in between: the broken pool was discarded by its own
     # handler and the environment's registry is still serving segments.
-    records = env.evaluate(tasks, n_workers=2, executor="persistent")
+    records = env.evaluate(tasks, policy=PERSISTENT_POLICY)
     assert records == serial
 
 
@@ -580,7 +585,7 @@ def test_environment_supervised_sweep_records_reports(small_environment):
     serial = env.run_sweep(points)
     env.dispatch_reports.clear()
     plan = FaultPlan((FaultSpec(shard=1, position=0, mode="raise", fires=1),))
-    supervised = env.run_sweep(points, n_workers=2, executor="supervised", fault_plan=plan)
+    supervised = env.run_sweep(points, policy=SUPERVISED_POLICY, fault_plan=plan)
     assert supervised == serial
     report = env.last_dispatch_report
     assert report is not None and report.ok and report.retries >= 1
@@ -595,13 +600,13 @@ def test_environment_supervised_crash_mid_sweep_recovers(small_environment):
     tasks = [env.task_for(group) for group in groups]
     crash = FaultPlan((FaultSpec(shard=0, position=0, mode="crash", fires=1),))
     env.dispatch_reports.clear()
-    records = env.evaluate(tasks, n_workers=2, executor="supervised", fault_plan=crash)
+    records = env.evaluate(tasks, policy=SUPERVISED_POLICY, fault_plan=crash)
     assert records == serial
     report = env.last_dispatch_report
     assert report.ok and report.rebuilds >= 1
     # The warm pool the supervisor wrapped belongs to the environment and
     # was rebuilt in place; a plain persistent dispatch reuses it.
-    assert env.evaluate(tasks, n_workers=2, executor="persistent") == serial
+    assert env.evaluate(tasks, policy=PERSISTENT_POLICY) == serial
 
 
 def test_supervised_crash_during_epoch_adoption_recovers_on_new_epoch():
@@ -630,7 +635,7 @@ def test_supervised_crash_during_epoch_adoption_recovers_on_new_epoch():
         groups = env.random_groups()
         serial_before = env.run_records(groups)
         # Warm the supervised tier (pool + shm exports) on epoch 0.
-        assert env.run_records(groups, n_workers=2, executor="supervised") == serial_before
+        assert env.run_records(groups, policy=SUPERVISED_POLICY) == serial_before
         delta = random_deltas(env.ratings, env.social, env.timeline, n_deltas=1, seed=3)[0]
         report = env.apply_delta(delta)
         assert report.epoch == 1 and report.touched_users
@@ -638,13 +643,13 @@ def test_supervised_crash_during_epoch_adoption_recovers_on_new_epoch():
         crash = FaultPlan((FaultSpec(shard=0, position=0, mode="crash", fires=1),))
         env.dispatch_reports.clear()
         records = env.run_records(
-            groups, n_workers=2, executor="supervised", fault_plan=crash
+            groups, policy=SUPERVISED_POLICY, fault_plan=crash
         )
         assert records == serial_after
         dispatch = env.last_dispatch_report
         assert dispatch.ok and dispatch.rebuilds >= 1
         # The healed pool keeps serving the new epoch without further drama.
-        assert env.run_records(groups, n_workers=2, executor="persistent") == serial_after
+        assert env.run_records(groups, policy=PERSISTENT_POLICY) == serial_after
     finally:
         env.close()
 

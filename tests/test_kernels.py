@@ -1,9 +1,8 @@
 """Round-kernel equivalence: every registered tier ≡ the reference kernel.
 
 The :mod:`repro.core.kernels` seam promises that every registered kernel —
-``reference`` (the extracted original loops), ``fused`` (batched numpy
-gather/scatter) and, when the optional dependency is installed, ``numba``
-(njit-compiled fused steps) — is **bit-identical**: same top-k items, same
+``reference`` (the extracted original loops) and ``fused`` (batched numpy
+gather/scatter) — is **bit-identical**: same top-k items, same
 bounds and exact scores, same sequential/random access counts, same round
 counts and stopping reasons, on every instance.  This suite pins that down
 along the same axes the storage/executor seams use:
@@ -16,8 +15,8 @@ along the same axes the storage/executor seams use:
 * **sharded tiers** — the grid through :func:`repro.parallel.evaluate_tasks`
   at shard counts {1, 2, 3, 7} under pickle, shm and mmap storage, the
   chaos (supervised fault-recovery) path, and epoch-swapped environments;
-* **plumbing** — the ``kernel=`` knob round-trips through
-  :class:`~repro.parallel.ExecutionPolicy` / :func:`resolve_policy`,
+* **plumbing** — the ``kernel`` knob round-trips through
+  :class:`~repro.parallel.ExecutionPolicy`,
   :class:`~repro.experiments.scalability.ScalabilityEnvironment`,
   :class:`~repro.service.ServiceConfig` and the runner CLI, and unknown
   names raise at the single choice point;
@@ -49,9 +48,7 @@ from repro.core.consensus import make_consensus
 from repro.core.greca import Greca, GrecaIndex, GrecaIndexFactory
 from repro.core.kernels import (
     KERNEL_FUSED,
-    KERNEL_NUMBA,
     KERNEL_REFERENCE,
-    NUMBA_AVAILABLE,
     FusedRoundKernel,
     ReferenceRoundKernel,
     RoundKernel,
@@ -72,12 +69,11 @@ from repro.parallel import (
     evaluate_tasks,
     group_key,
     record_from_result,
-    resolve_policy,
     run_task,
 )
 from repro.service import ServiceConfig
 
-#: Every kernel registered in this interpreter (numba only when importable).
+#: Every registered kernel.
 KERNELS = kernel_names()
 
 #: The tiers that must diverge from the reference, i.e. everything else.
@@ -107,7 +103,6 @@ def run_case(case: dict, kernel: str | None, check_interval=...):
 def test_registry_always_offers_reference_and_fused():
     assert KERNEL_REFERENCE in KERNELS
     assert KERNEL_FUSED in KERNELS
-    assert (KERNEL_NUMBA in KERNELS) == NUMBA_AVAILABLE
 
 
 @pytest.mark.parametrize("bogus", ["warp", "FUSED", "cuda", "reference ", ""])
@@ -135,18 +130,6 @@ def test_runner_rejects_unknown_kernel_before_running():
 
     with pytest.raises(ValueError, match="unknown kernel"):
         runner.main(["--kernel", "warp", "--list"])
-
-
-@pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed here")
-def test_numba_kernel_is_gated_when_absent():
-    """Without numba the tier is unregistered and unconstructible, cleanly."""
-    from repro.core.kernels import NumbaRoundKernel
-
-    assert KERNEL_NUMBA not in kernel_names()
-    with pytest.raises(ValueError, match="unknown kernel"):
-        validate_kernel_name(KERNEL_NUMBA)
-    with pytest.raises(RuntimeError, match="numba"):
-        NumbaRoundKernel()
 
 
 # -- golden grid × kernels ----------------------------------------------------------------------
@@ -178,16 +161,6 @@ def test_random_instances_fused_matches_reference(seed):
     reference = Greca(consensus, k=case["k"]).run(build_index(case))
     fused = Greca(consensus, k=case["k"], kernel=KERNEL_FUSED).run(build_index(case))
     assert_greca_results_identical(fused, reference)
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba is not installed")
-@pytest.mark.parametrize("seed", SEEDS[:16])
-def test_random_instances_numba_matches_reference(seed):
-    case = random_case(seed)
-    consensus = make_consensus(case["consensus"])
-    reference = Greca(consensus, k=case["k"]).run(build_index(case))
-    compiled = Greca(consensus, k=case["k"], kernel=KERNEL_NUMBA).run(build_index(case))
-    assert_greca_results_identical(compiled, reference)
 
 
 # -- edge cases, identical across every registered kernel ---------------------------------------
@@ -428,12 +401,13 @@ def tiny_groups(tiny_environment):
 def test_environment_kernel_knob_matches_serial_reference(
     tiny_environment, tiny_groups
 ):
-    """run_records(kernel="fused") reproduces the reference records exactly."""
+    """A serial fused-kernel policy reproduces the reference records exactly."""
+    fused_policy = ExecutionPolicy(kernel=KERNEL_FUSED)
     serial = tiny_environment.run_records(tiny_groups)
-    fused = tiny_environment.run_records(tiny_groups, kernel=KERNEL_FUSED)
+    fused = tiny_environment.run_records(tiny_groups, policy=fused_policy)
     assert_records_identical(fused, serial)
     stats = tiny_environment.average_percent_sa(tiny_groups)
-    assert tiny_environment.average_percent_sa(tiny_groups, kernel=KERNEL_FUSED) == stats
+    assert tiny_environment.average_percent_sa(tiny_groups, policy=fused_policy) == stats
 
 
 @pytest.mark.parametrize("n_workers", (1, 3))
@@ -443,49 +417,36 @@ def test_environment_sharded_kernel_matches_serial_reference(
     """Policy-borne kernels are stamped onto the dispatched tasks."""
     serial = tiny_environment.run_records(tiny_groups)
     sharded = tiny_environment.run_records(
-        tiny_groups, n_workers=n_workers, executor="serial", kernel=KERNEL_FUSED
-    )
-    assert_records_identical(sharded, serial)
-    bundled = tiny_environment.run_records(
         tiny_groups,
         policy=ExecutionPolicy(n_workers=n_workers, executor="serial", kernel=KERNEL_FUSED),
     )
-    assert_records_identical(bundled, serial)
+    assert_records_identical(sharded, serial)
 
 
 def test_explicit_task_kernel_wins_over_the_policy(tiny_environment, tiny_groups):
     """evaluate() only stamps kernel-less tasks; explicit choices survive."""
     tasks = [tiny_environment.task_for(group) for group in tiny_groups]
     explicit = [replace(task, kernel=KERNEL_REFERENCE) for task in tasks]
+    fused_policy = ExecutionPolicy(kernel=KERNEL_FUSED)
     serial = tiny_environment.evaluate(tasks)
-    stamped = tiny_environment.evaluate(tasks, kernel=KERNEL_FUSED)
-    kept = tiny_environment.evaluate(explicit, kernel=KERNEL_FUSED)
+    stamped = tiny_environment.evaluate(tasks, policy=fused_policy)
+    kept = tiny_environment.evaluate(explicit, policy=fused_policy)
     assert_records_identical(stamped, serial)
     assert_records_identical(kept, serial)
 
 
 def test_policy_round_trips_the_kernel_knob():
     assert ExecutionPolicy().kernel is None
-    assert ExecutionPolicy().kernel_name == KERNEL_REFERENCE
-    policy = ExecutionPolicy(kernel=KERNEL_FUSED)
-    assert policy.kernel_name == KERNEL_FUSED
-    assert resolve_policy(policy) is policy
-    assert resolve_policy(kernel=KERNEL_FUSED).kernel == KERNEL_FUSED
-
-
-def test_policy_and_legacy_kernel_spellings_cannot_mix():
-    with pytest.raises(ConfigurationError, match="not both"):
-        resolve_policy(ExecutionPolicy(kernel=KERNEL_FUSED), kernel=KERNEL_FUSED)
+    assert ExecutionPolicy(kernel=KERNEL_FUSED).kernel == KERNEL_FUSED
 
 
 def test_service_config_validates_and_bundles_the_kernel():
-    config = ServiceConfig(kernel=KERNEL_FUSED)
-    assert config.execution_policy().kernel == KERNEL_FUSED
-    assert ServiceConfig().execution_policy().kernel is None
+    config = ServiceConfig(policy=ExecutionPolicy(kernel=KERNEL_FUSED))
+    assert config.policy.kernel == KERNEL_FUSED
     with pytest.raises(ValueError, match="unknown kernel"):
-        ServiceConfig(kernel="warp")
-    with pytest.raises(ConfigurationError, match="not both"):
-        ServiceConfig(kernel=KERNEL_FUSED, policy=ExecutionPolicy(n_workers=2))
+        ServiceConfig(policy=ExecutionPolicy(kernel="warp"))
+    with pytest.raises(ConfigurationError, match="policy must be an ExecutionPolicy"):
+        ServiceConfig(policy=KERNEL_FUSED)
 
 
 # -- epoch swaps --------------------------------------------------------------------------------
@@ -516,10 +477,10 @@ def test_kernel_equivalence_survives_epoch_swaps():
         for delta in deltas:
             env.apply_delta(delta)
         serial = env.run_records(groups)
-        fused = env.run_records(groups, kernel=KERNEL_FUSED)
+        fused = env.run_records(groups, policy=ExecutionPolicy(kernel=KERNEL_FUSED))
         assert_records_identical(fused, serial)
         sharded = env.run_records(
-            groups, n_workers=2, executor="serial", kernel=KERNEL_FUSED
+            groups, policy=ExecutionPolicy(n_workers=2, executor="serial", kernel=KERNEL_FUSED)
         )
         assert_records_identical(sharded, serial)
     finally:

@@ -17,9 +17,9 @@ reference sequence.  This suite pins that down at three levels:
   correctness;
 * **environment level** — :class:`ScalabilityEnvironment` measurements
   (``average_percent_sa``, ``run_records`` across periods / item subsets /
-  consensus functions, ``run_quick_smoke``, the figure 6/8 drivers) with
-  ``n_workers`` set produce the exact serial statistics, standard errors
-  included.
+  consensus functions, ``run_quick_smoke``, the figure 6/8 drivers) under
+  a parallel ``policy=`` produce the exact serial statistics, standard
+  errors included.
 
 Float equality here is exact (``==``), never approximate: the merger restores
 task order before anything is summed, so there is no legitimate source of
@@ -28,6 +28,8 @@ floating-point divergence.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import os
 import random
 
@@ -38,10 +40,12 @@ from engine_grid import GRECA_CASES, greca_case_inputs
 from repro.core.consensus import make_consensus
 from repro.core.greca import Greca, GrecaIndex, GrecaIndexFactory
 from repro.exceptions import ConfigurationError
-from repro.experiments import figure6, figure8
+from repro.experiments import figure4, figure5, figure6, figure7, figure8, runner
 from repro.experiments.scalability import (
     ScalabilityConfig,
     ScalabilityEnvironment,
+    SweepPoint,
+    run_paper_scale,
     run_quick_smoke,
     summarize_percent_sa,
 )
@@ -62,12 +66,14 @@ from repro.parallel import (
     plan_shards,
     record_from_result,
     resolve_executor,
-    resolve_policy,
     run_shard,
 )
 
 #: Shard counts required by the acceptance criteria.
 SHARD_COUNTS = (1, 2, 3, 7)
+
+#: The warm-pool policy the environment-level lifecycle cases reuse.
+PERSISTENT_POLICY = ExecutionPolicy(n_workers=2, executor="persistent")
 
 #: Seeds for the shard-plan invariance property cases.
 PLAN_SEEDS = tuple(range(10))
@@ -456,7 +462,9 @@ def test_environment_average_percent_sa_is_shard_count_invariant(
 ):
     """The headline %SA statistic is exact for every required shard count."""
     serial = tiny_environment.average_percent_sa(tiny_groups)
-    sharded = tiny_environment.average_percent_sa(tiny_groups, n_workers=n_workers)
+    sharded = tiny_environment.average_percent_sa(
+        tiny_groups, policy=ExecutionPolicy(n_workers=n_workers)
+    )
     assert sharded == serial  # mean, std error and n_runs, all exact
 
 
@@ -470,7 +478,9 @@ def test_environment_sweep_points_match_serial(tiny_environment, tiny_groups):
         dict(period=period, n_items=60, consensus="MO"),
     ):
         serial = tiny_environment.run_records(tiny_groups, **knobs)
-        sharded = tiny_environment.run_records(tiny_groups, n_workers=2, **knobs)
+        sharded = tiny_environment.run_records(
+            tiny_groups, policy=ExecutionPolicy(n_workers=2), **knobs
+        )
         assert_records_identical(sharded, serial)
 
 
@@ -479,7 +489,9 @@ def test_environment_serial_executor_backend_matches_serial(
 ):
     """The in-process backend exercises sharding/merging without processes."""
     serial = tiny_environment.run_records(tiny_groups)
-    sharded = tiny_environment.run_records(tiny_groups, n_workers=3, executor="serial")
+    sharded = tiny_environment.run_records(
+        tiny_groups, policy=ExecutionPolicy(n_workers=3, executor="serial")
+    )
     assert_records_identical(sharded, serial)
 
 
@@ -490,7 +502,7 @@ def test_environment_persistent_executor_is_shard_count_invariant(
     """The persistent backend (warm pool + env-owned shm registry) is exact."""
     serial = tiny_environment.average_percent_sa(tiny_groups)
     sharded = tiny_environment.average_percent_sa(
-        tiny_groups, n_workers=n_workers, executor="persistent"
+        tiny_groups, policy=ExecutionPolicy(n_workers=n_workers, executor="persistent")
     )
     assert sharded == serial
     # The environment memoised a warm pool for this worker count...
@@ -504,10 +516,10 @@ def test_environment_persistent_pool_is_reused_across_calls(
     tiny_environment, tiny_groups
 ):
     """Same worker count → same pool object and same warm ProcessPoolExecutor."""
-    first = tiny_environment.run_records(tiny_groups, n_workers=2, executor="persistent")
+    first = tiny_environment.run_records(tiny_groups, policy=PERSISTENT_POLICY)
     pool = tiny_environment._persistent_pools[2]
     inner = pool._pool
-    second = tiny_environment.run_records(tiny_groups, n_workers=2, executor="persistent")
+    second = tiny_environment.run_records(tiny_groups, policy=PERSISTENT_POLICY)
     assert tiny_environment._persistent_pools[2] is pool and pool._pool is inner
     assert_records_identical(second, first)
 
@@ -515,7 +527,7 @@ def test_environment_persistent_pool_is_reused_across_calls(
 def test_environment_close_releases_and_recreates_lazily(tiny_environment, tiny_groups):
     """close() shuts pools down and unlinks segments; later calls just work."""
     serial = tiny_environment.run_records(tiny_groups)
-    tiny_environment.run_records(tiny_groups, n_workers=2, executor="persistent")
+    tiny_environment.run_records(tiny_groups, policy=PERSISTENT_POLICY)
     registry = tiny_environment._registries["shm"]
     names = registry.segment_names
     assert names  # shm shipment actually happened
@@ -528,14 +540,14 @@ def test_environment_close_releases_and_recreates_lazily(tiny_environment, tiny_
             shared_memory.SharedMemory(name=name)
     # The environment recovers transparently: the next dispatch recreates
     # its pool and registry and still matches serial bit-for-bit.
-    again = tiny_environment.run_records(tiny_groups, n_workers=2, executor="persistent")
+    again = tiny_environment.run_records(tiny_groups, policy=PERSISTENT_POLICY)
     assert_records_identical(again, serial)
     tiny_environment.close()
 
 
 def test_environment_persistent_requires_worker_count(tiny_environment, tiny_groups):
     with pytest.raises(ConfigurationError):
-        tiny_environment.run_records(tiny_groups, executor="persistent")
+        tiny_environment.run_records(tiny_groups, policy=ExecutionPolicy(executor="persistent"))
 
 
 def test_quick_smoke_sharded_statistics_match_serial():
@@ -544,10 +556,10 @@ def test_quick_smoke_sharded_statistics_match_serial():
         n_users=60, n_items=260, n_ratings=3_000, n_participants=16, n_groups=5, seed=11
     )
     serial = run_quick_smoke(config=config)
-    sharded = run_quick_smoke(config=config, n_workers=2)
+    sharded = run_quick_smoke(config=config, policy=ExecutionPolicy(n_workers=2))
     assert sharded.stats == serial.stats
     assert sharded.n_workers == 2
-    persistent = run_quick_smoke(config=config, n_workers=2, executor="persistent")
+    persistent = run_quick_smoke(config=config, policy=PERSISTENT_POLICY)
     assert persistent.stats == serial.stats
 
 
@@ -559,11 +571,15 @@ def test_figure_drivers_sharded_match_serial(tiny_environment, tiny_groups):
     draw.
     """
     serial6 = figure6.run(environment=tiny_environment, groups=tiny_groups)
-    sharded6 = figure6.run(environment=tiny_environment, groups=tiny_groups, n_workers=2)
+    sharded6 = figure6.run(
+        environment=tiny_environment, groups=tiny_groups, policy=ExecutionPolicy(n_workers=2)
+    )
     assert sharded6 == serial6
 
     serial8 = figure8.run(environment=tiny_environment, groups=tiny_groups)
-    sharded8 = figure8.run(environment=tiny_environment, groups=tiny_groups, n_workers=2)
+    sharded8 = figure8.run(
+        environment=tiny_environment, groups=tiny_groups, policy=ExecutionPolicy(n_workers=2)
+    )
     assert sharded8 == serial8
 
 
@@ -680,8 +696,6 @@ def test_environment_columnar_task_facade_matches_dict_task(tiny_environment, ti
 @pytest.mark.parametrize("n_workers", SHARD_COUNTS)
 def test_environment_batched_sweep_matches_serial(tiny_environment, tiny_groups, n_workers):
     """One batched dispatch over a mixed sweep is exact at {1, 2, 3, 7} shards."""
-    from repro.experiments.scalability import SweepPoint
-
     points = [
         SweepPoint(groups=tiny_groups, period=period)
         for period in tiny_environment.timeline
@@ -691,7 +705,7 @@ def test_environment_batched_sweep_matches_serial(tiny_environment, tiny_groups,
         SweepPoint(groups=tiny_groups, n_items=120),
     ]
     serial = tiny_environment.run_sweep(points)
-    batched = tiny_environment.run_sweep(points, n_workers=n_workers)
+    batched = tiny_environment.run_sweep(points, policy=ExecutionPolicy(n_workers=n_workers))
     assert batched == serial
 
 
@@ -703,8 +717,6 @@ def test_batched_sweep_dispatches_once_group_major(tiny_environment, tiny_groups
     never once per sweep point, which is what the pre-batching drivers paid.
     """
     from collections import Counter
-
-    from repro.experiments.scalability import SweepPoint
 
     dispatches = []
 
@@ -720,7 +732,9 @@ def test_batched_sweep_dispatches_once_group_major(tiny_environment, tiny_groups
         for period in tiny_environment.timeline
     ]
     serial = tiny_environment.run_sweep(points)
-    batched = tiny_environment.run_sweep(points, executor=RecordingSerialExecutor())
+    batched = tiny_environment.run_sweep(
+        points, policy=ExecutionPolicy(executor=RecordingSerialExecutor())
+    )
     assert batched == serial
     assert len(dispatches) == 1  # the whole figure sweep crossed the pool once
     (payloads,) = dispatches
@@ -741,7 +755,9 @@ def test_figure6_batched_process_dispatch_is_shard_count_invariant(
     """Figure 6's single-dispatch parallel path stays exact at every shard count."""
     serial = figure6.run(environment=tiny_environment, groups=tiny_groups)
     sharded = figure6.run(
-        environment=tiny_environment, groups=tiny_groups, n_workers=n_workers
+        environment=tiny_environment,
+        groups=tiny_groups,
+        policy=ExecutionPolicy(n_workers=n_workers),
     )
     assert sharded == serial
 
@@ -895,7 +911,8 @@ def test_environment_mmap_storage_is_shard_count_invariant(
     """run_records over the mmap backend is exact for every required shard count."""
     serial = tiny_environment.run_records(tiny_groups)
     sharded = tiny_environment.run_records(
-        tiny_groups, n_workers=n_workers, executor="persistent", storage="mmap"
+        tiny_groups,
+        policy=ExecutionPolicy(n_workers=n_workers, executor="persistent", storage="mmap"),
     )
     assert_records_identical(sharded, serial)
     # The environment keeps one registry per storage backend; the mmap one
@@ -912,12 +929,12 @@ def test_environment_average_percent_sa_mmap_matches_serial(
     """The headline statistic is exact over file-backed columns too."""
     serial = tiny_environment.average_percent_sa(tiny_groups)
     sharded = tiny_environment.average_percent_sa(
-        tiny_groups, n_workers=2, storage="mmap"
+        tiny_groups, policy=ExecutionPolicy(n_workers=2, storage="mmap")
     )
     assert sharded == serial
 
 
-# -- ExecutionPolicy: one bundle for the knob sprawl --------------------------------------------
+# -- ExecutionPolicy: the one dispatch spelling -------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -927,16 +944,14 @@ def test_environment_average_percent_sa_mmap_matches_serial(
         dict(n_workers=3, executor="serial"),
         dict(n_workers=2, executor="persistent"),
         dict(n_workers=2, executor="persistent", storage="mmap"),
-        dict(n_workers=2, executor="process", shipment="pickle"),
+        dict(n_workers=2, executor="process", kernel="fused"),
         dict(n_workers=2, executor="supervised"),
     ],
 )
 def test_policy_spelling_round_trips_legacy_knobs(tiny_environment, tiny_groups, knobs):
-    """policy=ExecutionPolicy(**knobs) reproduces the loose-keyword records exactly."""
+    """policy=ExecutionPolicy(**knobs) reproduces the serial records exactly."""
     serial = tiny_environment.run_records(tiny_groups)
-    legacy = tiny_environment.run_records(tiny_groups, **knobs)
     bundled = tiny_environment.run_records(tiny_groups, policy=ExecutionPolicy(**knobs))
-    assert_records_identical(bundled, legacy)
     assert_records_identical(bundled, serial)
 
 
@@ -950,39 +965,64 @@ def test_policy_default_is_the_serial_reference(tiny_environment, tiny_groups):
     assert_records_identical(bundled, serial)
 
 
-def test_policy_and_legacy_spellings_cannot_mix(tiny_environment, tiny_groups):
-    """Mixing policy= with any loose keyword raises at every entry point."""
-    from repro.experiments.scalability import SweepPoint
+#: Every entry point that dispatches group evaluations, by name.
+POLICY_ENTRY_POINTS = {
+    "evaluate": ScalabilityEnvironment.evaluate,
+    "run_records": ScalabilityEnvironment.run_records,
+    "run_sweep": ScalabilityEnvironment.run_sweep,
+    "average_percent_sa": ScalabilityEnvironment.average_percent_sa,
+    "run_quick_smoke": run_quick_smoke,
+    "run_paper_scale": run_paper_scale,
+    "figure4": figure4.run,
+    "figure5": figure5.run,
+    "figure6": figure6.run,
+    "figure7": figure7.run,
+    "figure8": figure8.run,
+    "run_all": runner.run_all,
+}
 
-    policy = ExecutionPolicy(n_workers=2)
-    with pytest.raises(ConfigurationError, match="not both"):
-        resolve_policy(policy, n_workers=2)
-    with pytest.raises(ConfigurationError, match="not both"):
-        resolve_policy(policy, storage="mmap")
-    with pytest.raises(ConfigurationError, match="not both"):
-        tiny_environment.run_records(tiny_groups, n_workers=2, policy=policy)
-    with pytest.raises(ConfigurationError, match="not both"):
-        tiny_environment.average_percent_sa(
-            tiny_groups, executor="persistent", policy=policy
-        )
-    with pytest.raises(ConfigurationError, match="not both"):
-        tiny_environment.run_sweep(
-            [SweepPoint(groups=tiny_groups)], storage="mmap", policy=policy
-        )
+#: Dispatch knobs that live only on ExecutionPolicy, never as entry-point keywords.
+POLICY_KNOBS = (
+    "n_workers", "executor", "shipment", "supervision", "storage", "kernel", "columnar"
+)
 
 
-def test_execution_policy_validates_on_construction():
-    """The bundle fails exactly where the loose knobs failed, at build time."""
+def test_execution_policy_validates_on_construction(tiny_environment, tiny_groups):
+    """The bundle validates at build time, and policy= is the only spelling."""
     with pytest.raises(ConfigurationError):
         ExecutionPolicy(n_workers=0)
     with pytest.raises(ValueError, match="'serial', 'process', 'persistent'"):
         ExecutionPolicy(n_workers=2, executor="threads")
-    with pytest.raises(ValueError, match="shipment"):
-        ExecutionPolicy(shipment="carrier-pigeon")
     with pytest.raises(ValueError, match="'shm', 'mmap'"):
         ExecutionPolicy(storage="tape")
-    with pytest.raises(ConfigurationError):
-        resolve_policy("persistent")  # a bare string is not a policy
+    assert [field.name for field in dataclasses.fields(ExecutionPolicy)] == [
+        "n_workers", "executor", "supervision", "storage", "kernel"
+    ]
+    # No entry point takes a loose dispatch knob; run_all keeps supervision,
+    # which configures the environment's SupervisionPolicy, not the dispatch.
+    for name, entry_point in POLICY_ENTRY_POINTS.items():
+        parameters = inspect.signature(entry_point).parameters
+        assert "policy" in parameters, name
+        allowed = {"supervision"} if name == "run_all" else set()
+        assert not (set(POLICY_KNOBS) - allowed) & set(parameters), name
+    # A bare string is not a policy, at every entry point.
+    bogus = "persistent"
+    calls = [
+        lambda: tiny_environment.evaluate([], policy=bogus),
+        lambda: tiny_environment.run_records(tiny_groups, policy=bogus),
+        lambda: tiny_environment.run_sweep([SweepPoint(groups=tiny_groups)], policy=bogus),
+        lambda: tiny_environment.average_percent_sa(tiny_groups, policy=bogus),
+        lambda: run_quick_smoke(policy=bogus),
+        lambda: run_paper_scale(policy=bogus),
+        lambda: figure4.run(policy=bogus),
+        lambda: runner.run_all(["figure6"], policy=bogus),
+    ] + [
+        lambda driver=driver: driver.run(environment=tiny_environment, policy=bogus)
+        for driver in (figure5, figure6, figure7, figure8)
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match="policy must be an ExecutionPolicy"):
+            call()
 
 
 def test_figure_drivers_accept_a_bundled_policy(tiny_environment, tiny_groups):
@@ -994,10 +1034,3 @@ def test_figure_drivers_accept_a_bundled_policy(tiny_environment, tiny_groups):
         policy=ExecutionPolicy(n_workers=2, storage="mmap"),
     )
     assert bundled == serial
-    with pytest.raises(ConfigurationError, match="not both"):
-        figure6.run(
-            environment=tiny_environment,
-            groups=tiny_groups,
-            n_workers=2,
-            policy=ExecutionPolicy(n_workers=2),
-        )

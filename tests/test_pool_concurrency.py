@@ -29,9 +29,11 @@ import pytest
 
 from repro.core.greca import GrecaIndexFactory
 from repro.experiments.scalability import ScalabilityConfig, ScalabilityEnvironment
-from repro.parallel import PersistentShardExecutor, SharedArrayRegistry
+from repro.parallel import ExecutionPolicy, PersistentShardExecutor, SharedArrayRegistry
 from repro.parallel import pool as pool_module
 from test_shm_lifecycle import assert_unlinked
+
+PERSISTENT_POLICY = ExecutionPolicy(n_workers=2, executor="persistent")
 
 
 class _SlowRecordingPool:
@@ -160,7 +162,7 @@ def test_two_threads_dispatching_through_one_environment(shared_environment):
     _race(
         2,
         lambda: results.append(
-            env.evaluate(tasks, n_workers=2, executor="persistent")
+            env.evaluate(tasks, policy=PERSISTENT_POLICY)
         ),
     )
     assert len(results) == 2
@@ -197,7 +199,7 @@ def test_task_for_concurrent_with_dispatch(shared_environment):
     churner.start()
     try:
         for _ in range(5):
-            assert env.evaluate(tasks, n_workers=2, executor="persistent") == serial
+            assert env.evaluate(tasks, policy=PERSISTENT_POLICY) == serial
     finally:
         stop.set()
         churner.join()

@@ -20,12 +20,13 @@ plugin dependencies.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
 from repro.exceptions import ConfigurationError, ServiceError
 from repro.experiments.scalability import ScalabilityConfig, ScalabilityEnvironment
-from repro.parallel import FaultPlan, FaultSpec
+from repro.parallel import ExecutionPolicy, FaultPlan, FaultSpec
 from repro.service import (
     GrecaService,
     GroupQuery,
@@ -69,7 +70,8 @@ def serve(environment, coroutine_factory, config=None, fault_plan=None):
 @pytest.mark.parametrize("executor", ["supervised", "persistent", None])
 def test_concurrent_clients_get_bit_identical_responses(environment, executor):
     """N concurrent clients, every response equal to the serial reference."""
-    config = ServiceConfig(n_workers=2, executor=executor, max_batch_delay=0.01)
+    policy = ExecutionPolicy(n_workers=2, executor=executor) if executor else ExecutionPolicy()
+    config = ServiceConfig(max_batch_delay=0.01, policy=policy)
 
     async def load(service):
         clients = default_queries(environment, n_clients=4, n_queries=3, seed=23)
@@ -93,7 +95,7 @@ def test_concurrent_clients_get_bit_identical_responses(environment, executor):
 def test_crash_mid_request_recovers_with_honest_report(environment):
     """A planned worker crash is absorbed; the response's report admits it."""
     crash = FaultPlan((FaultSpec(shard=0, position=0, mode="crash", fires=1),))
-    config = ServiceConfig(n_workers=2, executor="supervised")
+    config = ServiceConfig(policy=ExecutionPolicy(n_workers=2, executor="supervised"))
 
     async def load(service):
         queries = [
@@ -120,7 +122,9 @@ def test_crash_mid_request_recovers_with_honest_report(environment):
 def test_coalescing_respects_the_configured_batch_cap(environment):
     """Concurrent submissions coalesce, but never past max_batch_size."""
     config = ServiceConfig(
-        n_workers=2, executor="persistent", max_batch_size=3, max_batch_delay=0.2
+        max_batch_size=3,
+        max_batch_delay=0.2,
+        policy=ExecutionPolicy(n_workers=2, executor="persistent"),
     )
 
     async def load(service):
@@ -144,7 +148,9 @@ def test_coalescing_respects_the_configured_batch_cap(environment):
 
 
 def test_stop_drains_accepted_queries_and_rejects_new_ones(environment):
-    config = ServiceConfig(n_workers=2, executor="persistent", max_batch_delay=0.05)
+    config = ServiceConfig(
+        max_batch_delay=0.05, policy=ExecutionPolicy(n_workers=2, executor="persistent")
+    )
 
     async def session():
         service = GrecaService(environment=environment, config=config)
@@ -168,8 +174,16 @@ def test_stop_drains_accepted_queries_and_rejects_new_ones(environment):
 
 
 def test_service_config_rejects_bad_knobs():
+    # The default is exactly the supervised two-worker pool, and the
+    # dispatch knobs live only on the policy.
+    assert ServiceConfig().policy == ExecutionPolicy(n_workers=2, executor="supervised")
+    assert [field.name for field in dataclasses.fields(ServiceConfig)] == [
+        "max_batch_size", "max_batch_delay", "max_queue", "policy"
+    ]
     with pytest.raises(ValueError):
-        ServiceConfig(executor="no-such-backend")
+        ServiceConfig(policy=ExecutionPolicy(n_workers=2, executor="no-such-backend"))
+    with pytest.raises(ConfigurationError, match="policy must be an ExecutionPolicy"):
+        ServiceConfig(policy="supervised")
     with pytest.raises(ConfigurationError):
         ServiceConfig(max_batch_size=0)
     with pytest.raises(ConfigurationError):
@@ -179,7 +193,7 @@ def test_service_config_rejects_bad_knobs():
 
 
 def test_query_period_index_is_validated(environment):
-    config = ServiceConfig(executor=None)
+    config = ServiceConfig(policy=ExecutionPolicy())
 
     async def bad_period(service):
         query = GroupQuery(
@@ -190,6 +204,25 @@ def test_query_period_index_is_validated(environment):
         return True
 
     assert serve(environment, bad_period, config=config)
+
+
+def test_bad_query_fails_alone_in_its_batch(environment):
+    """One invalid query in a coalesced batch must not fail its neighbours."""
+    config = ServiceConfig(max_batch_delay=0.2, policy=ExecutionPolicy())
+    group = tuple(environment.random_groups(1)[0])
+    good = GroupQuery(group=group, k=4)
+    bad = GroupQuery(group=group, k=4, period_index=999)
+
+    async def load(service):
+        outcomes = await asyncio.gather(
+            service.submit(good), service.submit(bad), return_exceptions=True
+        )
+        return service, outcomes
+
+    service, (response, error) = serve(environment, load, config=config)
+    assert service.batch_sizes == [2], "both queries must share one batch"
+    assert isinstance(error, ConfigurationError)
+    assert response.record == service.reference_record(good)
 
 
 def test_percentile_interpolates():

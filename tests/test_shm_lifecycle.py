@@ -22,6 +22,7 @@ from repro.core.consensus import make_consensus
 from repro.core.greca import GrecaIndexFactory
 from repro.exceptions import AlgorithmError
 from repro.parallel import (
+    ExecutionPolicy,
     GroupEvalTask,
     PersistentShardExecutor,
     SharedArrayRegistry,
@@ -31,6 +32,8 @@ from repro.parallel import (
     plan_shards,
     run_shard,
 )
+
+PERSISTENT_POLICY = ExecutionPolicy(n_workers=2, executor="persistent")
 
 
 def assert_unlinked(names):
@@ -760,7 +763,7 @@ def test_retired_epoch_segments_unlink_after_in_flight_reader_drains():
     env = ScalabilityEnvironment(config)
     try:
         groups = env.random_groups()
-        env.run_records(groups, n_workers=2, executor="persistent")  # epoch-0 exports
+        env.run_records(groups, policy=PERSISTENT_POLICY)  # epoch-0 exports
         registry = env._shared_registry()
         names_before = registry.segment_names
         assert names_before
@@ -784,7 +787,7 @@ def test_retired_epoch_segments_unlink_after_in_flight_reader_drains():
             handle.close()  # ...and the last reader draining frees the memory
 
         post_serial = env.run_records(groups)
-        post = env.run_records(groups, n_workers=2, executor="persistent")
+        post = env.run_records(groups, policy=PERSISTENT_POLICY)
         assert post == post_serial
         # Same registry object adopted the new epoch; no retired name reused.
         assert env._shared_registry() is registry and not registry.closed
