@@ -19,9 +19,9 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -x -q
 
 # Serial ≡ parallel equivalence of the sharded group-evaluation layer
-# (shard planner, process/persistent workers, pickle + shared-memory
-# shipment, order-restoring merge; shard counts {1, 2, 3, 7} plus
-# random-partition property cases) and the shm segment-lifecycle suite.
+# (shard planner, serial/persistent executors, in-process and shm/mmap
+# descriptor payloads, order-restoring merge; shard counts {1, 2, 3, 7}
+# plus random-partition property cases) and the shm segment-lifecycle suite.
 test-parallel:
 	$(PYTHON) -m pytest tests/test_parallel_equivalence.py tests/test_shm_lifecycle.py -q
 
@@ -41,7 +41,7 @@ test-service:
 # Epoch suite: the delta-equivalence matrix (incremental apply_delta state
 # bit-identical to a full rebuild over the merged history, across the
 # serial/persistent/supervised/service tiers, shard counts {1, 2, 3, 7},
-# pickle + shm shipment, figure drivers and snapshot/restore), plus the
+# shm descriptor shipment, figure drivers and snapshot/restore), plus the
 # epoch-adoption chaos case and the retired-segment drain case.
 test-epoch:
 	$(PYTHON) -m pytest tests/test_epoch_updates.py \
@@ -95,9 +95,9 @@ WORKERS ?= 4
 bench-record-paper:
 	$(PYTHON) scripts/bench_engine.py --label $(LABEL) --paper-scale --workers $(WORKERS)
 
-# Append the factory-shipment point (pickle vs shared-memory payload bytes
-# for the factory and affinity-column paths, dispatch counts per-point vs
-# batched, and wall-clock, figure-6 sweep over the default substrate).
+# Append the shipment point (descriptor payload bytes beside the all-inline
+# size, dispatch counts per-point vs batched, and serial vs persistent-pool
+# cold/warm wall-clock, figure-6 sweep over the default substrate).
 # Usage: make bench-record-shipment LABEL=... [WORKERS=4] [OUTPUT=path.json]
 # OUTPUT writes the record to a standalone file (the CI artifact) instead of
 # appending to BENCH_engine.json.

@@ -24,11 +24,11 @@ Each invocation *appends* one record to ``BENCH_engine.json`` so the perf
 trajectory accumulates across PRs; the access-count checksum in the record
 doubles as a guard that a faster engine still performs identical work.
 
-``--shipment`` records the factory-shipment point instead: pickle-by-value
-versus zero-copy shared-memory payload bytes (and wall-clock for the
-process and persistent backends) over the figure-6 sweep of the default
-substrate — the measurement behind the ≥ 10× payload-shrink acceptance bar
-of the shm path.
+``--shipment`` records the factory-shipment point instead: descriptor
+payload bytes (beside what the same payloads weigh with every array
+inline), per-point versus batched dispatch counts, and serial versus
+persistent-pool wall-clock over the figure-6 sweep of the default
+substrate.
 
 ``--storage`` records the storage-backend point instead: the same figure-6
 sweep dispatched over ``/dev/shm`` segments versus mmap spool files —
@@ -184,31 +184,27 @@ def bench_micro_access() -> dict[str, object]:
 
 
 def bench_shipment(n_workers: int = 4) -> dict[str, object]:
-    """Pickle vs shared-memory shipment: payload bytes, dispatch counts, wall-clock.
+    """Descriptor shipment: payload bytes, dispatch counts, wall-clock.
 
     The workload is the figure 6 sweep over the default substrate — every
     default random group evaluated at every query period, so the same
-    memoised factories ship to shards again and again, exactly the pattern
-    the zero-copy path amortises.  Three payload shapes are measured:
-
-    * **pickle** — factories and affinity dictionaries by value (PR 3);
-    * **shm** — factory arrays by descriptor, per-task affinity
-      dictionaries still by value (PR 4);
-    * **shm+affinity columns** — factories *and* the per-(group, period)
-      affinity inputs by descriptor, tasks carrying only a period-prefix
-      reference (PR 5).
+    memoised factories and affinity columns ship to shards again and again,
+    exactly the pattern the zero-copy path amortises.  Payload bytes are
+    the pickled descriptor payloads, next to the same payloads with every
+    factory and affinity array inline (``payload_shrink`` is their ratio).
 
     Dispatch counts compare the historical one-dispatch-per-sweep-point
     driver loop against the batched single dispatch (every sweep point in
     one group-major task list): total payloads crossing the pool plus how
     many (shard, factory) shipments they contain — batched, each factory
     ships once per shard it appears in.  Wall-clock is recorded for the
-    process backend under pickle and shm and for a persistent pool (cold
-    first dispatch, warm second).  On hosts granting fewer cores than
-    workers the wall-clocks measure overhead, not speedup — ``n_cpus`` is
-    recorded so the trajectory stays honest.
+    serial reference and a persistent pool (cold first dispatch, warm
+    second).  On hosts granting fewer cores than workers the wall-clocks
+    measure overhead, not speedup — ``n_cpus`` is recorded so the
+    trajectory stays honest.
     """
     import pickle
+    from dataclasses import replace
 
     from repro.parallel import (
         PersistentShardExecutor,
@@ -224,36 +220,24 @@ def bench_shipment(n_workers: int = 4) -> dict[str, object]:
     periods = list(env.timeline)
     # Group-major order: each group's factory (and affinity columns) lands in
     # as few contiguous shards as possible.
-    tasks_dict = [
-        env.task_for(group, period=period, columnar=False)
-        for group in groups
-        for period in periods
-    ]
-    tasks_columnar = [
-        env.task_for(group, period=period)
-        for group in groups
-        for period in periods
-    ]
-    factories = {task.group: env.index_factory(task.group) for task in tasks_dict}
-    plan = plan_shards(len(tasks_dict), n_workers)
+    tasks = [env.task_for(group, period=period) for group in groups for period in periods]
+    factories = {task.group: env.index_factory(task.group) for task in tasks}
+    plan = plan_shards(len(tasks), n_workers)
 
-    def payload_bytes(tasks, factory_map) -> int:
+    def payload_bytes(shipped_tasks, factory_map) -> int:
         return sum(
             len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-            for payload in build_payloads(plan, tasks, factory_map)
+            for payload in build_payloads(plan, shipped_tasks, factory_map)
         )
 
-    pickle_bytes = payload_bytes(tasks_dict, factories)
+    inline_bytes = payload_bytes(tasks, factories)
     with SharedArrayRegistry() as registry:
-        from dataclasses import replace
-
         handles = {key: registry.export(factory) for key, factory in factories.items()}
-        shm_bytes = payload_bytes(tasks_dict, handles)
-        shipped_columnar = [
+        shipped = [
             replace(task, affinity_ref=registry.export_affinity(task.affinity_ref))
-            for task in tasks_columnar
+            for task in tasks
         ]
-        shm_affinity_bytes = payload_bytes(shipped_columnar, handles)
+        descriptor_bytes = payload_bytes(shipped, handles)
 
     # Dispatch counts: the pre-batching drivers dispatched once per sweep
     # point (here: per period), the batched path once per figure.
@@ -261,7 +245,7 @@ def bench_shipment(n_workers: int = 4) -> dict[str, object]:
     per_point_factory_shipments = 0
     for period_index in range(len(periods)):
         point_tasks = [
-            tasks_dict[group_index * len(periods) + period_index]
+            tasks[group_index * len(periods) + period_index]
             for group_index in range(len(groups))
         ]
         point_payloads = build_payloads(
@@ -271,44 +255,23 @@ def bench_shipment(n_workers: int = 4) -> dict[str, object]:
         per_point_factory_shipments += sum(
             len(payload.factories) for payload in point_payloads
         )
-    batched_payloads = build_payloads(plan, tasks_dict, factories)
+    batched_payloads = build_payloads(plan, tasks, factories)
     batched_dispatches = len(batched_payloads)
     batched_factory_shipments = sum(len(payload.factories) for payload in batched_payloads)
 
     start = time.perf_counter()
-    serial_records = evaluate_tasks(tasks_dict, factories)
+    serial_records = evaluate_tasks(tasks, factories)
     serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    pickle_records = evaluate_tasks(
-        tasks_dict, factories, n_shards=n_workers, executor="process", shipment="pickle"
-    )
-    process_pickle_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    shm_records = evaluate_tasks(
-        tasks_columnar, factories, n_shards=n_workers, executor="process", shipment="shm"
-    )
-    process_shm_seconds = time.perf_counter() - start
 
     with PersistentShardExecutor(n_workers) as pool, SharedArrayRegistry() as registry:
         start = time.perf_counter()
-        cold_records = evaluate_tasks(
-            tasks_columnar, factories, executor=pool, registry=registry
-        )
+        cold_records = evaluate_tasks(tasks, factories, executor=pool, registry=registry)
         persistent_cold_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        warm_records = evaluate_tasks(
-            tasks_columnar, factories, executor=pool, registry=registry
-        )
+        warm_records = evaluate_tasks(tasks, factories, executor=pool, registry=registry)
         persistent_warm_seconds = time.perf_counter() - start
 
-    identical = (
-        pickle_records == serial_records
-        and shm_records == serial_records
-        and cold_records == serial_records
-        and warm_records == serial_records
-    )
+    identical = cold_records == serial_records and warm_records == serial_records
     if not identical:  # the record must never hide an equivalence break
         raise SystemExit("shipment-bench records diverged from serial")
 
@@ -321,25 +284,21 @@ def bench_shipment(n_workers: int = 4) -> dict[str, object]:
             "expectation applies on hosts with >= n_workers cores"
         )
     record.update(
-        n_tasks=len(tasks_dict),
+        n_tasks=len(tasks),
         n_groups=len(groups),
         n_periods=len(periods),
         n_workers=n_workers,
         n_cpus=n_cpus,
-        payload_bytes_pickle=pickle_bytes,
-        payload_bytes_shm=shm_bytes,
-        payload_bytes_shm_affinity=shm_affinity_bytes,
-        payload_shrink=round(pickle_bytes / shm_bytes, 1) if shm_bytes else None,
-        affinity_payload_shrink=(
-            round(shm_bytes / shm_affinity_bytes, 1) if shm_affinity_bytes else None
+        payload_bytes_inline=inline_bytes,
+        payload_bytes_descriptor=descriptor_bytes,
+        payload_shrink=(
+            round(inline_bytes / descriptor_bytes, 1) if descriptor_bytes else None
         ),
         dispatches_per_point=per_point_dispatches,
         dispatches_batched=batched_dispatches,
         factory_shipments_per_point=per_point_factory_shipments,
         factory_shipments_batched=batched_factory_shipments,
         serial_seconds=round(serial_seconds, 4),
-        process_pickle_seconds=round(process_pickle_seconds, 4),
-        process_shm_seconds=round(process_shm_seconds, 4),
         persistent_cold_seconds=round(persistent_cold_seconds, 4),
         persistent_warm_seconds=round(persistent_warm_seconds, 4),
         identical=identical,
@@ -352,9 +311,9 @@ def bench_storage(n_workers: int = 4) -> dict[str, object]:
     """Shared-memory vs mmap spool dispatch: payload bytes and wall-clock.
 
     The workload is the same figure-6 sweep ``bench_shipment`` measures —
-    every default random group at every query period, columnar tasks — run
-    once per storage backend through real process workers and a persistent
-    pool (cold first dispatch, warm second).  Descriptor payloads are
+    every default random group at every query period — run once per storage
+    backend through a fresh persistent pool owned by the call and through a
+    held persistent pool (cold first dispatch, warm second).  Descriptor payloads are
     byte-sized per backend too: an mmap descriptor carries an absolute spool
     path instead of a short shm name, so the delta is visible but small.
     Every backend's records are checked against the serial reference before
@@ -418,10 +377,10 @@ def bench_storage(n_workers: int = 4) -> dict[str, object]:
             record[f"payload_bytes_{storage}"] = payload_bytes(shipped, handles)
 
         start = time.perf_counter()
-        process_records = evaluate_tasks(
-            tasks, factories, n_shards=n_workers, executor="process", storage=storage
+        fresh_records = evaluate_tasks(
+            tasks, factories, n_shards=n_workers, executor="persistent", storage=storage
         )
-        record[f"process_{storage}_seconds"] = round(time.perf_counter() - start, 4)
+        record[f"fresh_pool_{storage}_seconds"] = round(time.perf_counter() - start, 4)
 
         with PersistentShardExecutor(n_workers) as pool, SharedArrayRegistry(
             storage=storage
@@ -438,16 +397,16 @@ def bench_storage(n_workers: int = 4) -> dict[str, object]:
             )
 
         if not (
-            process_records == serial_records
+            fresh_records == serial_records
             and cold_records == serial_records
             and warm_records == serial_records
         ):  # the record must never hide an equivalence break
             raise SystemExit(f"storage-bench {storage} records diverged from serial")
 
     record["identical"] = True
-    shm_seconds = record["process_shm_seconds"]
+    shm_seconds = record["fresh_pool_shm_seconds"]
     record["mmap_dispatch_overhead"] = (
-        round(record["process_mmap_seconds"] / shm_seconds, 3) if shm_seconds else None
+        round(record["fresh_pool_mmap_seconds"] / shm_seconds, 3) if shm_seconds else None
     )
     print(json.dumps({"storage": record}, indent=2))
     return record
@@ -592,9 +551,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--shipment",
         action="store_true",
-        help="record the shipment point (pickle vs shared-memory payload bytes, "
-        "dispatch counts and wall-clock over the figure-6 sweep) instead of "
-        "the default engine sections",
+        help="record the shipment point (descriptor payload bytes, dispatch "
+        "counts and serial vs persistent-pool wall-clock over the figure-6 "
+        "sweep) instead of the default engine sections",
     )
     parser.add_argument(
         "--storage",

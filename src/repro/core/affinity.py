@@ -162,9 +162,8 @@ class AffinityColumns:
 
     The per-(group, period) affinity inputs of a GRECA index are three small
     dictionaries — ``{pair: aff_S}``, ``{period_index: {pair: aff_P}}`` and
-    ``{period_index: Avg_aff_P}`` — and after the shared-memory factory
-    shipment they are the last large Python-object payload still pickled by
-    value into every parallel task.  This class holds the same information
+    ``{period_index: Avg_aff_P}`` — which would otherwise pickle by value
+    into every parallel task.  This class holds the same information
     densely: a ``(n_pairs,)`` static array, a ``(n_periods, n_pairs)``
     periodic matrix and a ``(n_periods,)`` averages vector, with ``pairs``
     mapping columns back to canonical user pairs.  The arrays can be placed

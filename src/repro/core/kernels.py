@@ -23,8 +23,8 @@ algorithm, mirroring the executor/storage registries in
 
 Kernel names pass through :func:`validate_kernel_name`, the single
 :class:`ValueError` choice point for ``kernel=`` strings (the analogue of
-``pool.validate_executor_name`` / ``storage.validate_storage_name``), and
-the registry (:func:`register_kernel` / :func:`kernel_names`) is how new
+``resilience.validate_executor_name`` / ``storage.validate_storage_name``),
+and the registry (:func:`register_kernel` / :func:`kernel_names`) is how new
 backends join.
 """
 

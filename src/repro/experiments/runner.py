@@ -9,13 +9,12 @@ Usage::
                                                        # scalability point under
                                                        # a time budget)
     python -m repro.experiments.runner --workers 4     # shard group evaluation
-                                                       # across 4 process workers
-                                                       # (bit-identical results)
-    python -m repro.experiments.runner --workers 4 --executor persistent
-                                                       # same, but one warm worker
-                                                       # pool + one shared-memory
-                                                       # substrate shipment for the
-                                                       # whole figure suite
+                                                       # across one warm pool of 4
+                                                       # process workers + one
+                                                       # shared-memory substrate
+                                                       # shipment for the whole
+                                                       # figure suite (bit-identical
+                                                       # results)
     python -m repro.experiments.runner --workers 4 --executor supervised
                                                        # fault-tolerant dispatch:
                                                        # per-shard timeouts, retries,
@@ -60,7 +59,7 @@ from repro.parallel import (
     ExecutionPolicy,
     SupervisionPolicy,
     as_policy,
-    executor_names,
+    EXECUTOR_NAMES,
     kernel_names,
     summarise_reports,
 )
@@ -93,10 +92,11 @@ def run_all(
     these results).  ``policy=`` (an :class:`~repro.parallel.ExecutionPolicy`,
     serial by default) shards the group evaluations of the figure 4-8
     drivers; results are bit-identical to the serial run.  Its ``executor``
-    picks the backend (``serial``, ``process``, ``persistent`` — a warm
-    worker pool across the whole figure suite, paying spawn and substrate
-    shipment once — or ``supervised``, which adds fault-tolerant dispatch
-    on top of that warm pool and prints a recovery summary at the end),
+    picks the backend (``persistent``, the default with ``n_workers`` — a
+    warm worker pool across the whole figure suite, paying spawn and
+    substrate shipment once — ``serial``, or ``supervised``, which adds
+    fault-tolerant dispatch on top of that warm pool and prints a recovery
+    summary at the end),
     ``storage`` the column-store backend (``shm`` shared memory or ``mmap``
     spool files) and ``kernel`` the GRECA round-kernel tier (``reference``
     or ``fused``, bit-identical).  ``supervision`` is not a dispatch knob:
@@ -177,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="shard group evaluations across N process workers "
+        help="shard group evaluations across a warm pool of N process workers "
         "(default: serial; results are bit-identical either way)",
     )
     parser.add_argument(
@@ -185,8 +185,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="NAME",
         help="execution backend for sharded evaluation: one of "
-        + ", ".join(executor_names())
-        + " (default: process when --workers is given; unknown names raise "
+        + ", ".join(EXECUTOR_NAMES)
+        + " (default: persistent when --workers is given; unknown names raise "
         "ValueError at the single validation choice point)",
     )
     parser.add_argument(

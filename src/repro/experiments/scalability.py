@@ -26,10 +26,11 @@ Group evaluation is embarrassingly parallel — every figure averages over
 independent groups sharing a read-only substrate — so every measurement
 method takes a ``policy=`` (an :class:`~repro.parallel.ExecutionPolicy`;
 ``None`` is the serial default) routing the runs through
-:mod:`repro.parallel`: tasks are sharded across process workers, each worker
-receives the memoised per-group factories of its shard (pickled once per
-shard, never rebuilt), and the per-shard records merge back deterministically
-in group order.  Serial stays the default and the reference semantics;
+:mod:`repro.parallel`: tasks are sharded across the environment's warm
+worker pool, each worker receives the memoised per-group factories and
+affinity columns of its shard by shared-memory descriptor (exported once,
+never rebuilt), and the per-shard records merge back deterministically in
+group order.  Serial stays the default and the reference semantics;
 ``tests/test_parallel_equivalence.py`` proves the sharded path bit-identical
 to it.  :func:`run_paper_scale` drives the full Table 5-scale substrate
 (:meth:`ScalabilityConfig.paper_scale`) through that layer.
@@ -49,7 +50,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from statistics import mean, stdev
 from typing import Iterator, Sequence
 
@@ -70,8 +71,6 @@ from repro.data.social import SocialConfig, SocialNetwork, SocialNetworkGenerato
 from repro.exceptions import ConfigurationError
 from repro.groups.formation import GroupFormer
 from repro.parallel import (
-    EXECUTOR_PERSISTENT,
-    EXECUTOR_SUPERVISED,
     STORAGE_SHM,
     DispatchReport,
     ExecutionPolicy,
@@ -79,9 +78,7 @@ from repro.parallel import (
     GroupEvalTask,
     GroupRunRecord,
     PersistentShardExecutor,
-    ShardExecutor,
     SharedArrayRegistry,
-    SupervisedDispatch,
     SupervisionPolicy,
     as_policy,
     available_cpus,
@@ -89,6 +86,7 @@ from repro.parallel import (
     group_key,
     record_from_result,
     resolve_executor,
+    run_task,
 )
 
 #: Paper defaults (Section 4.2, "Experiment Settings").
@@ -158,6 +156,19 @@ class AccessStats:
     def mean_saveup(self) -> float:
         """Average percentage of accesses avoided."""
         return 100.0 - self.mean_percent_sa
+
+
+def check_query_knobs(k: int | None = None, n_items: int | None = None) -> None:
+    """Reject a ``k`` or ``n_items`` below 1; ``None`` means "use the default".
+
+    The one validation point for the per-query knobs, shared by every
+    environment entry point and the service's ``GroupQuery``, so a zero or
+    negative value raises instead of silently meaning the default (``k``) or
+    slicing from the end of the catalogue (``n_items``).
+    """
+    for name, value in (("k", k), ("n_items", n_items)):
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{name} must be at least 1, got {value!r}")
 
 
 def summarize_percent_sa(values: Sequence[float]) -> AccessStats:
@@ -331,12 +342,8 @@ class ScalabilityEnvironment:
 
     # -- parallel resource ownership ---------------------------------------------------------
 
-    def _persistent_pool(self, n_workers: int | None) -> PersistentShardExecutor:
+    def _persistent_pool(self, n_workers: int) -> PersistentShardExecutor:
         """The environment's warm pool for ``n_workers`` (created on first use)."""
-        if n_workers is None:
-            raise ConfigurationError(
-                "the persistent executor needs an explicit worker count: pass n_workers"
-            )
         with self._state_lock:
             pool = self._persistent_pools.get(int(n_workers))
             if pool is None:
@@ -369,28 +376,6 @@ class ScalabilityEnvironment:
                 if not registry.closed:
                     names.extend(registry.segment_names)
             return tuple(names)
-
-    def _resolve_backend(
-        self, executor: ShardExecutor | str | None, n_workers: int | None
-    ) -> ShardExecutor:
-        """Resolve ``executor=`` — routing ``"persistent"`` to the warm pool.
-
-        ``"supervised"`` wraps the warm pool in a fresh
-        :class:`SupervisedDispatch` under :attr:`supervision` — a fresh
-        wrapper per call (wrappers are cheap and stateless between runs)
-        around the memoised pool, so supervised dispatches still reuse warm
-        workers and survive :meth:`close` (the next call re-wraps whatever
-        pool the environment then holds).
-        """
-        if executor == EXECUTOR_PERSISTENT:
-            return self._persistent_pool(n_workers)
-        if executor == EXECUTOR_SUPERVISED:
-            return SupervisedDispatch(
-                self._persistent_pool(n_workers),
-                policy=self.supervision,
-                owns_executor=False,
-            )
-        return resolve_executor(executor, n_workers)
 
     def close(self) -> None:
         """Release parallel resources: shut pools down, unlink shm segments.
@@ -609,6 +594,20 @@ class ScalabilityEnvironment:
             self._affinity_columns[key] = entry
         return entry
 
+    def _affinity_prefix(
+        self, group: Sequence[int], affinity: str, period: Period | None
+    ) -> tuple[AffinityColumns, str, int]:
+        """``(columns, time_model, n_periods)`` for one group at one query period."""
+        if period is None:
+            period = self.timeline.current
+        columns, time_model = self.affinity_columns(group, affinity)
+        n_periods = self.timeline.index_of(period) + 1 if columns.n_periods else 0
+        return columns, time_model, n_periods
+
+    def _items(self, n_items: int | None) -> tuple[int, ...] | None:
+        """The first ``n_items`` catalogue items, or ``None`` for all of them."""
+        return None if n_items is None else tuple(self.ratings.items[: int(n_items)])
+
     def cached_index(
         self,
         group: Sequence[int],
@@ -620,25 +619,24 @@ class ScalabilityEnvironment:
 
         Bit-identical to ``recommender.build_index(group, period=period,
         affinity=affinity, exclude_rated=False, items=items[:n_items])`` —
-        the scan-equivalence tests enforce this — but sweep points sharing a
-        group reuse the columnar preference substrate, and repeated points
-        reuse the index object outright.
+        ``tests/test_parallel_equivalence.py`` enforces this — but sweep
+        points sharing a group reuse the columnar preference substrate and
+        the memoised :meth:`affinity_columns`, and repeated points reuse the
+        index object outright.  Workers build through the very same
+        ``build_columns`` path.
         """
-        if period is None and self.timeline is not None:
+        check_query_knobs(n_items=n_items)
+        if period is None:
             period = self.timeline.current
         key = self._memo_key(group, affinity, period, n_items)
         index = self._index_cache.get(key)
         if index is None:
-            static, periodic, averages, time_model = self.recommender.affinity_components(
-                list(group), period=period, affinity=affinity
-            )
-            items = list(self.ratings.items[:n_items]) if n_items is not None else None
-            index = self.index_factory(group).build(
-                static,
-                periodic=periodic,
-                averages=averages,
+            columns, time_model, n_periods = self._affinity_prefix(group, affinity, period)
+            index = self.index_factory(group).build_columns(
+                columns,
                 time_model=time_model,
-                items=items,
+                items=self._items(n_items),
+                n_periods=n_periods,
             )
             self._index_cache[key] = index
         return index
@@ -681,9 +679,10 @@ class ScalabilityEnvironment:
         n_items: int | None = None,
     ) -> float:
         """%SA of one GRECA run for one group (index built through the reuse layer)."""
+        check_query_knobs(k, n_items)
         consensus_fn = self._consensus_fn(consensus)
         index = self.cached_index(group, period=period, affinity=affinity, n_items=n_items)
-        result = Greca(consensus_fn, k=k or self.config.k).run(index)
+        result = Greca(consensus_fn, k=self.config.k if k is None else k).run(index)
         return result.percent_sequential_accesses
 
     def task_for(
@@ -694,7 +693,6 @@ class ScalabilityEnvironment:
         affinity: str = "discrete",
         period: Period | None = None,
         n_items: int | None = None,
-        columnar: bool = True,
     ) -> GroupEvalTask:
         """Materialise one sweep point as a shippable :class:`GroupEvalTask`.
 
@@ -702,50 +700,22 @@ class ScalabilityEnvironment:
         the query period, the affinity inputs, the restricted item tuple —
         and warms the group's factory in the (memoised) factory cache, so
         dispatching the task ships the cached factory instead of rebuilding
-        the preference substrate per worker.
-
-        By default the affinity inputs ride as a reference to the group's
-        memoised full-timeline :meth:`affinity_columns` plus the query
-        period's prefix length — the shape the shared-memory shipment turns
-        into pure descriptors.  ``columnar=False`` materialises the PR 3/4
-        per-task dictionaries instead (the by-value reference shape;
-        bit-identical results either way).
+        the preference substrate per worker.  The affinity inputs ride as a
+        reference to the group's memoised full-timeline
+        :meth:`affinity_columns` plus the query period's prefix length — the
+        shape descriptor shipment turns into a few hundred bytes.
         """
-        if period is None and self.timeline is not None:
-            period = self.timeline.current
+        check_query_knobs(k, n_items)
         self.index_factory(group)  # warm the shared substrate before shipping
-        items = (
-            tuple(self.ratings.items[: int(n_items)]) if n_items is not None else None
-        )
-        common = dict(
-            group=group_key(group),
-            k=int(k or self.config.k),
-            consensus=self._consensus_fn(consensus),
-            items=items,
-        )
-        if columnar:
-            columns, time_model = self.affinity_columns(group, affinity)
-            n_periods = (
-                self.timeline.index_of(period) + 1 if columns.n_periods else 0
-            )
-            return GroupEvalTask(
-                static={},
-                periodic={},
-                averages={},
-                time_model=time_model,
-                affinity_ref=columns,
-                n_periods=n_periods,
-                **common,
-            )
-        static, periodic, averages, time_model = self.recommender.affinity_components(
-            list(group), period=period, affinity=affinity
-        )
+        columns, time_model, n_periods = self._affinity_prefix(group, affinity, period)
         return GroupEvalTask(
-            static=static,
-            periodic=periodic,
-            averages=averages,
+            group=group_key(group),
+            k=self.config.k if k is None else int(k),
+            consensus=self._consensus_fn(consensus),
             time_model=time_model,
-            **common,
+            affinity_ref=columns,
+            n_periods=n_periods,
+            items=self._items(n_items),
         )
 
     @property
@@ -762,22 +732,20 @@ class ScalabilityEnvironment:
         """Evaluate materialised tasks, serially or through the sharded layer.
 
         Under the default (serial) policy the tasks run in-process in task
-        order through the same ``factory.build`` + :class:`Greca` path the
-        workers use — the serial reference semantics.  A policy with
-        ``n_workers`` (and/or an explicit ``executor``: ``"serial"``,
-        ``"process"``, ``"persistent"``, ``"supervised"`` or an instance)
-        partitions the tasks into shards; each worker receives its shard's
-        group factories — by zero-copy descriptor for the process-crossing
-        backends, the environment's registry owning the segments — and the
-        per-shard records are merged back deterministically in task order,
-        bit-identical to the serial run
-        (``tests/test_parallel_equivalence.py``).
-        ``executor="persistent"`` reuses one warm worker pool per worker
-        count across calls (released by :meth:`close`).
-        ``executor="supervised"`` adds the fault-tolerant dispatch tier on
-        top of that warm pool, under this environment's :attr:`supervision`
-        policy; each supervised dispatch appends its
-        :class:`~repro.parallel.DispatchReport` to :attr:`dispatch_reports`.
+        order through the same ``factory.build_columns`` + :class:`Greca`
+        path the workers use — the serial reference semantics.  A policy
+        with ``n_workers`` partitions the tasks into shards on this
+        environment's warm worker pool for that count (released by
+        :meth:`close`); each worker receives its shard's group factories and
+        affinity columns by zero-copy descriptor, the environment's registry
+        owning the segments, and the per-shard records are merged back
+        deterministically in task order, bit-identical to the serial run
+        (``tests/test_parallel_equivalence.py``).  ``executor="serial"``
+        shards in-process instead, and ``executor="supervised"`` adds the
+        fault-tolerant dispatch tier on top of the warm pool, under this
+        environment's :attr:`supervision` policy; each supervised dispatch
+        appends its :class:`~repro.parallel.DispatchReport` to
+        :attr:`dispatch_reports`.
         A policy ``supervision`` (a :class:`SupervisionPolicy` or ``True``)
         supervises any parallel backend for this call, and ``fault_plan=``
         injects deterministic faults (the chaos suite's hook; it describes
@@ -800,12 +768,19 @@ class ScalabilityEnvironment:
                 for task in tasks
             ]
         if policy.is_serial:
-            from repro.parallel.worker import run_task
-
             return [run_task(task, self.index_factory(task.group)) for task in tasks]
         for task in tasks:  # warm any factory not already memoised by task_for
             self.index_factory(task.group)
-        backend = self._resolve_backend(policy.executor, policy.n_workers)
+        # Every pool name routes to this environment's warm pool for the
+        # worker count; "supervised" wraps it in a fresh (cheap, stateless)
+        # supervisor under self.supervision, so supervised dispatches reuse
+        # warm workers too and survive close() by re-wrapping the next pool.
+        backend = resolve_executor(
+            policy.executor,
+            policy.n_workers,
+            warm_pool=self._persistent_pool,
+            supervision=self.supervision,
+        )
         # Process-crossing backends ship zero-copy: the environment-owned
         # registry for the policy's storage backend places each memoised
         # factory's arrays in its column store once, and every dispatch
@@ -854,6 +829,7 @@ class ScalabilityEnvironment:
         bit-identical computation by the reuse layer's equivalence guarantee.
         """
         policy = as_policy(policy)
+        check_query_knobs(k, n_items)
         if policy.is_serial:
             consensus_fn = self._consensus_fn(consensus)
             records = []
@@ -862,7 +838,7 @@ class ScalabilityEnvironment:
                     group, period=period, affinity=affinity, n_items=n_items
                 )
                 result = Greca(
-                    consensus_fn, k=k or self.config.k, kernel=policy.kernel
+                    consensus_fn, k=self.config.k if k is None else k, kernel=policy.kernel
                 ).run(index)
                 records.append(record_from_result(group_key(group), result))
             return records

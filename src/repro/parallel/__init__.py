@@ -8,26 +8,26 @@ keeping the serial semantics bit-exact:
 * :mod:`repro.parallel.sharding` — deterministic shard planning (any
   partition of the task indices is a valid plan);
 * :mod:`repro.parallel.worker` — picklable task/record/payload types and the
-  worker-side loop (``factory.build`` + ``Greca.run`` per task);
-* :mod:`repro.parallel.shm` — zero-copy shared-memory shipment: the factory
-  substrate's large arrays live in ``multiprocessing.shared_memory``
-  segments owned by a context-managed :class:`SharedArrayRegistry`
-  (unlink-on-exit guaranteed), and payloads carry only
-  ``(segment, shape, dtype, offset)`` descriptors that workers reattach;
-* :mod:`repro.parallel.pool` — the ``serial`` (in-process), ``process``
-  (pool-per-call) and ``persistent`` (warm pool reused across dispatches)
-  shard executors, plus the single :class:`ValueError` choice point for
-  ``executor=`` strings;
+  worker-side loop (``factory.build_columns`` + ``Greca.run`` per task);
+  every task carries columnar affinities plus a period prefix;
+* :mod:`repro.parallel.shm` — zero-copy descriptor shipment: the factory
+  substrate's and the affinity columns' arrays live in segments owned by a
+  context-managed :class:`SharedArrayRegistry` (unlink-on-exit guaranteed),
+  and payloads carry only ``(segment, shape, dtype, offset, storage)``
+  descriptors that workers reattach;
+* :mod:`repro.parallel.pool` — the ``serial`` (in-process) and
+  ``persistent`` (warm pool reused across dispatches) shard executors;
 * :mod:`repro.parallel.merge` — order-restoring merge of per-shard records;
 * :mod:`repro.parallel.evaluation` — the :func:`evaluate_tasks` pipeline
-  gluing them together (shm shipment by default whenever payloads cross a
-  process boundary);
+  gluing them together (descriptor shipment whenever payloads cross a
+  process boundary or the caller passes a registry);
 * :mod:`repro.parallel.resilience` — the ``supervised`` fault-tolerant
-  dispatch tier: :class:`SupervisedDispatch` wraps any executor with
+  dispatch tier: :class:`SupervisedDispatch` wraps an executor with
   per-shard timeouts, bounded deterministic retries, pool self-healing and
   serial degradation, reports every recovery in a :class:`DispatchReport`,
   and ships a deterministic :class:`FaultPlan` chaos harness for the
-  fault-tolerance suite;
+  fault-tolerance suite.  The ``executor=`` names (:data:`EXECUTOR_NAMES`)
+  are validated and resolved here, beside the wrapper;
 * :mod:`repro.parallel.storage` — the storage tier behind the descriptor
   seam: spool-backed memory-mapped file segments (``storage="mmap"``) as
   the out-of-core alternative to ``/dev/shm``, selected per registry and
@@ -43,8 +43,8 @@ keeping the serial semantics bit-exact:
 Serial execution remains the reference semantics everywhere: the sharded
 path must (and, per ``tests/test_parallel_equivalence.py``, does) reproduce
 the serial records — access counts, %SA values, top-k items, stopping
-reasons — bit-for-bit for every shard count, every partition, every backend
-and both shipment modes.
+reasons — bit-for-bit for every shard count, every partition, every executor
+and both storage backends.
 """
 
 from repro.core.kernels import (
@@ -56,20 +56,15 @@ from repro.core.kernels import (
 from repro.parallel.evaluation import build_payloads, evaluate_tasks
 from repro.parallel.merge import merge_shard_records
 from repro.parallel.pool import (
-    EXECUTOR_PERSISTENT,
-    EXECUTOR_PROCESS,
-    EXECUTOR_SERIAL,
     PersistentShardExecutor,
-    ProcessShardExecutor,
     SerialShardExecutor,
     ShardExecutor,
     available_cpus,
-    executor_names,
-    register_executor,
-    resolve_executor,
-    validate_executor_name,
 )
 from repro.parallel.resilience import (
+    EXECUTOR_NAMES,
+    EXECUTOR_PERSISTENT,
+    EXECUTOR_SERIAL,
     EXECUTOR_SUPERVISED,
     VALID_FAULT_MODES,
     DispatchReport,
@@ -79,14 +74,13 @@ from repro.parallel.resilience import (
     SupervisedDispatch,
     SupervisionPolicy,
     fault_plan_from_env,
+    resolve_executor,
     summarise_reports,
+    validate_executor_name,
 )
 from repro.parallel.policy import ExecutionPolicy, as_policy
 from repro.parallel.sharding import ShardPlan, plan_shards
 from repro.parallel.shm import (
-    SHIPMENT_PICKLE,
-    SHIPMENT_SHM,
-    VALID_SHIPMENTS,
     SharedArrayRegistry,
     SharedArraySpec,
     ShmAffinityHandle,
@@ -117,8 +111,8 @@ from repro.parallel.worker import (
 
 __all__ = [
     "DispatchReport",
+    "EXECUTOR_NAMES",
     "EXECUTOR_PERSISTENT",
-    "EXECUTOR_PROCESS",
     "EXECUTOR_SERIAL",
     "EXECUTOR_SUPERVISED",
     "ExecutionPolicy",
@@ -130,9 +124,6 @@ __all__ = [
     "KERNEL_REFERENCE",
     "MappedFileSegment",
     "PersistentShardExecutor",
-    "ProcessShardExecutor",
-    "SHIPMENT_PICKLE",
-    "SHIPMENT_SHM",
     "STORAGE_MMAP",
     "STORAGE_SHM",
     "SerialShardExecutor",
@@ -147,17 +138,13 @@ __all__ = [
     "SpoolDirectory",
     "SupervisedDispatch",
     "SupervisionPolicy",
-    "VALID_EXECUTORS",
     "VALID_FAULT_MODES",
-    "VALID_KERNELS",
-    "VALID_SHIPMENTS",
     "VALID_STORAGES",
     "as_policy",
     "attach_array",
     "available_cpus",
     "build_payloads",
     "evaluate_tasks",
-    "executor_names",
     "fault_plan_from_env",
     "group_key",
     "kernel_names",
@@ -166,7 +153,6 @@ __all__ = [
     "merge_shard_records",
     "plan_shards",
     "record_from_result",
-    "register_executor",
     "resolve_executor",
     "resolve_factory",
     "run_shard",
@@ -177,13 +163,3 @@ __all__ = [
     "validate_storage_name",
 ]
 
-
-def __getattr__(name: str):
-    # ``VALID_EXECUTORS``/``VALID_KERNELS`` are registry-derived; resolving
-    # them lazily means they always reflect every registered backend,
-    # including ones registered after this package was imported.
-    if name == "VALID_EXECUTORS":
-        return executor_names()
-    if name == "VALID_KERNELS":
-        return kernel_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

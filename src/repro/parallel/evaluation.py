@@ -9,18 +9,15 @@ environments or figures — :class:`repro.experiments.scalability
 .ScalabilityEnvironment` builds the tasks and owns the factory cache; the
 equivalence tests drive this function directly with synthetic grid cases.
 
-Shipment: when the resolved backend crosses a process boundary
-(``ships_payloads``), the factories' large arrays — and the affinity
-columns of any task carrying an
-:class:`~repro.core.affinity.AffinityColumns` reference — are exported to
-shared-memory segments (:mod:`repro.parallel.shm`) and the payloads carry
-only descriptors — the zero-copy default.  ``shipment="pickle"`` forces the
-PR 3 by-value path (the bench uses it to measure the payload shrink);
-``shipment="shm"`` forces descriptor shipment even in-process.  A registry
-created here is unlinked in a ``finally`` — after normal completion, after a
-worker exception and after an interrupt alike — while a caller-owned
-``registry=`` (the environment's) survives the call so segments are shared
-across dispatches.
+Shipment: when a caller passes a registry or the resolved backend crosses a
+process boundary (``ships_payloads``), the factories' large arrays and
+every task's affinity columns are exported to the registry's column store
+(:mod:`repro.parallel.shm`) and the payloads carry only descriptors.  An
+in-process dispatch without a registry hands the objects over as they are.
+A registry created here is unlinked in a ``finally`` — after normal
+completion, after a worker exception and after an interrupt alike — while a
+caller-owned ``registry=`` (the environment's) survives the call so
+segments are shared across dispatches.
 """
 
 from __future__ import annotations
@@ -28,10 +25,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Mapping, Sequence
 
-from repro.core.affinity import AffinityColumns
 from repro.exceptions import ConfigurationError
 from repro.parallel.merge import merge_shard_records
-from repro.parallel.pool import SerialShardExecutor, ShardExecutor, resolve_executor
+from repro.parallel.pool import SerialShardExecutor, ShardExecutor
 from repro.parallel.resilience import (
     FaultPlan,
     SupervisedDispatch,
@@ -39,14 +35,10 @@ from repro.parallel.resilience import (
     attach_fault_plan,
     coerce_policy,
     fault_plan_from_env,
+    resolve_executor,
 )
 from repro.parallel.sharding import ShardPlan, plan_shards
-from repro.parallel.shm import (
-    SHIPMENT_PICKLE,
-    SHIPMENT_SHM,
-    VALID_SHIPMENTS,
-    SharedArrayRegistry,
-)
+from repro.parallel.shm import SharedArrayRegistry
 from repro.parallel.storage import STORAGE_SHM, validate_storage_name
 from repro.parallel.worker import (
     GroupEvalTask,
@@ -87,7 +79,6 @@ def evaluate_tasks(
     n_shards: int | None = None,
     executor: ShardExecutor | str | None = None,
     plan: ShardPlan | None = None,
-    shipment: str | None = None,
     registry: SharedArrayRegistry | None = None,
     storage: str | None = None,
     supervision: SupervisionPolicy | bool | None = None,
@@ -111,36 +102,33 @@ def evaluate_tasks(
         still exercising the full payload/merge pipeline, but never spawning
         a process just to execute serially.
     executor:
-        ``"serial"``, ``"process"``, ``"persistent"`` or a
-        :class:`~repro.parallel.pool.ShardExecutor` instance; defaults to
-        the process backend whenever ``n_shards`` asks for fan-out and to
+        ``"serial"``, ``"persistent"``, ``"supervised"`` or a
+        :class:`~repro.parallel.pool.ShardExecutor` instance; defaults to a
+        fresh persistent pool whenever ``n_shards`` asks for fan-out and to
         the in-process backend otherwise.  Unknown names raise
         :class:`ValueError` at the single validation choice point
-        (:func:`repro.parallel.pool.validate_executor_name`).  A
-        ``"persistent"`` string resolves to a fresh pool that is shut down
-        before returning — pass (and keep) an instance for actual warmth.
+        (:func:`repro.parallel.resilience.validate_executor_name`).  A pool
+        resolved from a string (or from ``n_shards`` alone) belongs to this
+        call and is shut down before returning, so no worker lingers — pass
+        (and keep) an instance for actual warmth.
     plan:
         Explicit shard plan overriding ``n_shards`` — any partition of the
         task indices is valid and merges to the same result; the
         shard-plan-invariance tests rely on this hook.
-    shipment:
-        ``"shm"`` (descriptors over shared memory), ``"pickle"`` (factories
-        by value), or ``None`` to pick shm exactly when the backend crosses
-        a process boundary.
     registry:
         A caller-owned :class:`SharedArrayRegistry` whose segments should
         outlive this call (the environment passes its own so repeated
-        dispatches share segments).  When omitted and shm shipment is in
-        effect, an ephemeral registry is created and unlinked on the way
+        dispatches share segments); passing one ships descriptors even to an
+        in-process backend.  When omitted and the backend crosses a process
+        boundary, an ephemeral registry is created and unlinked on the way
         out, success or failure.
     storage:
         ``"shm"`` (shared-memory segments, the default) or ``"mmap"``
-        (memory-mapped spool files) — which backend descriptor shipment
+        (memory-mapped spool files) — the backend an ephemeral registry
         packs arrays into, validated at the single storage choice point
-        (:func:`repro.parallel.storage.validate_storage_name`).  An
-        ephemeral registry is created with this backend; a caller-owned
-        ``registry=`` must already match (mismatching the two is a
-        configuration error, not a silent preference).
+        (:func:`repro.parallel.storage.validate_storage_name`).  A
+        caller-owned ``registry=`` must already match (mismatching the two
+        is a configuration error, not a silent preference).
     supervision:
         A :class:`~repro.parallel.resilience.SupervisionPolicy` (or ``True``
         for the defaults) arms fault-tolerant dispatch: the resolved backend
@@ -180,13 +168,6 @@ def evaluate_tasks(
         owns_backend = True
     if fault_plan is None:
         fault_plan = fault_plan_from_env()
-    if shipment is None:
-        shipment = SHIPMENT_SHM if backend.ships_payloads else SHIPMENT_PICKLE
-    if shipment not in VALID_SHIPMENTS:
-        raise ValueError(
-            f"unknown shipment {shipment!r}: valid shipments are "
-            + ", ".join(repr(valid) for valid in VALID_SHIPMENTS)
-        )
     if storage is not None:
         validate_storage_name(storage)
         if registry is not None and registry.storage != storage:
@@ -200,26 +181,23 @@ def evaluate_tasks(
         plan = plan_shards(len(tasks), n_shards)
     owns_registry = False
     try:
-        if shipment == SHIPMENT_SHM:
-            if registry is None:
-                registry = SharedArrayRegistry(storage=storage or STORAGE_SHM)
-                owns_registry = True
+        if registry is None and backend.ships_payloads:
+            registry = SharedArrayRegistry(storage=storage or STORAGE_SHM)
+            owns_registry = True
+        if registry is not None:
             needed = {task.group for task in tasks}
             factories = {
                 key: registry.export(value) if key in needed else value
                 for key, value in factories.items()
             }
-            # Columnar affinity inputs ship by descriptor too: one export per
-            # distinct AffinityColumns object (a whole period sweep shares
-            # one), dict-based tasks stay as they are.
+            # One export per distinct affinity-columns object: a whole period
+            # sweep of one group shares a single set of segments.
             tasks = [
                 replace(task, affinity_ref=registry.export_affinity(task.affinity_ref))
-                if isinstance(task.affinity_ref, AffinityColumns)
-                else task
                 for task in tasks
             ]
         payloads = attach_fault_plan(build_payloads(plan, tasks, factories), fault_plan)
-        if shipment == SHIPMENT_SHM and not owns_registry:
+        if registry is not None and not owns_registry:
             # Epoch adoption: a long-lived (environment) registry may have
             # retired exports since the pool's workers last ran; the floor
             # stamped here tells them which cached generations are dead

@@ -7,8 +7,8 @@ Every entry point that evaluates groups —
 drivers, the runner and ``ServiceConfig`` — takes its dispatch shape as a
 single ``policy=`` argument.  ``None`` means ``ExecutionPolicy()``: the
 serial reference path.  Every field is validated on construction through
-the same registries the rest of the system uses
-(``pool.validate_executor_name``, ``storage.validate_storage_name``,
+the same choice points the rest of the system uses
+(``resilience.validate_executor_name``, ``storage.validate_storage_name``,
 ``kernels.validate_kernel_name``).  Every policy is bit-identical to the
 serial reference, so a policy only changes where and how fast work runs.
 """
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from repro.core.kernels import validate_kernel_name
 from repro.exceptions import ConfigurationError
-from repro.parallel.pool import ShardExecutor, validate_executor_name
-from repro.parallel.resilience import SupervisionPolicy
+from repro.parallel.pool import ShardExecutor
+from repro.parallel.resilience import SupervisionPolicy, validate_executor_name
 from repro.parallel.storage import STORAGE_SHM, validate_storage_name
 
 

@@ -1,6 +1,6 @@
 """Shard executors: where (and how) shard payloads actually run.
 
-Three concrete executors share one tiny interface — a list of
+Two concrete executors share one tiny interface — a list of
 :class:`~repro.parallel.worker.ShardPayload` values in, one record tuple per
 shard out, *in shard order*:
 
@@ -9,41 +9,25 @@ shard out, *in shard order*:
   which makes it the deterministic harness the shard-plan-invariance tests
   drive (and a useful debugging backend: drop-in, single-threaded,
   breakpoint-friendly).
-* :class:`ProcessShardExecutor` fans shards out to a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Payloads are pickled to
-  the workers (large factory arrays travel as shared-memory descriptors
-  under the default ``shm`` shipment, see :mod:`repro.parallel.shm`);
-  records are pickled back.  Results are collected in submission order, so
-  shard order — and therefore the merged task order — never depends on
-  worker scheduling.  The pool is created per invocation, so no worker
-  processes linger between figure runs.
 * :class:`PersistentShardExecutor` (``executor="persistent"``) keeps one
-  warm ``ProcessPoolExecutor`` alive across calls.  A
+  warm ``ProcessPoolExecutor`` alive across calls.  Payloads are pickled to
+  the workers with the large factory and affinity arrays travelling as
+  shared-memory descriptors (see :mod:`repro.parallel.shm`); records are
+  pickled back.  Results are collected in submission order, so shard order
+  — and therefore the merged task order — never depends on worker
+  scheduling.  A
   :class:`~repro.experiments.scalability.ScalabilityEnvironment` holds one
   instance per worker count, so the figure 4–8 drivers pay worker spawn —
-  and, combined with shm shipment plus the worker-side factory cache, the
-  substrate shipment — once per environment instead of once per driver.
-  ``shutdown()`` (or the context manager, or
-  ``ScalabilityEnvironment.close``) releases the workers; a pool broken by
-  a dead worker is discarded so the next call starts a fresh one.
+  and, combined with the worker-side factory cache, the substrate shipment
+  — once per environment instead of once per driver.  ``shutdown()`` (or
+  the context manager, or ``ScalabilityEnvironment.close``) releases the
+  workers; a pool broken by a dead worker is discarded so the next call
+  starts a fresh one.
 
-``executor=`` strings are validated in exactly one place:
-:func:`validate_executor_name`, which raises :class:`ValueError` listing the
-valid backends.  That list is *derived* from the executor registry
-(:func:`register_executor` / :func:`executor_names`) rather than maintained
-by hand, so backends contributed by other modules — the ``supervised``
-fault-tolerant wrapper of :mod:`repro.parallel.resilience` registers itself
-on import — appear in the error text automatically and can never drift out
-of it.  Both :func:`resolve_executor` (the library path) and the runner's
-``--executor`` flag go through it, so an unknown name fails at the choice
-point instead of deep inside ``evaluate_tasks``.
-
-The same registry pattern is mirrored by a sibling choice point:
-``storage=`` strings validate through
-:func:`repro.parallel.storage.validate_storage_name` (``"shm"`` /
-``"mmap"`` column-store backends).  Callers above this layer pick an
-executor through the ``executor`` field of one frozen
-:class:`~repro.parallel.policy.ExecutionPolicy` passed as ``policy=``.
+The ``executor=`` spellings — ``"serial"``, ``"persistent"`` and the
+fault-tolerant ``"supervised"`` wrapper — are validated and resolved in one
+place, :func:`repro.parallel.resilience.resolve_executor`, beside the
+supervisor they may wrap.
 
 The context-managed shared-memory registry that guarantees segment unlink on
 exit/failure lives in :mod:`repro.parallel.shm` and is re-exported here as
@@ -58,62 +42,11 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.parallel.shm import SharedArrayRegistry  # noqa: F401  (re-export)
 from repro.parallel.worker import GroupRunRecord, ShardPayload, run_shard
-
-#: Executor spellings accepted by the ``executor=`` knobs.
-EXECUTOR_SERIAL = "serial"
-EXECUTOR_PROCESS = "process"
-EXECUTOR_PERSISTENT = "persistent"
-
-
-@dataclass(frozen=True)
-class _ExecutorEntry:
-    """One registered backend: how to build it and whether it fans out."""
-
-    builder: Callable[[int | None], "ShardExecutor"]
-    needs_workers: bool
-
-
-#: The single registry behind ``executor=`` strings.  Registration order is
-#: presentation order in the :class:`ValueError` text, so the built-in
-#: backends register at the bottom of this module and extensions append.
-_EXECUTOR_BUILDERS: "dict[str, _ExecutorEntry]" = {}
-
-
-def register_executor(
-    name: str,
-    builder: Callable[[int | None], "ShardExecutor"],
-    *,
-    needs_workers: bool,
-) -> None:
-    """Register an ``executor=`` spelling with the single validation choice point.
-
-    ``builder`` receives the caller's ``n_workers`` (``None`` allowed only
-    when ``needs_workers`` is false) and returns a fresh executor instance.
-    Registering is what puts a backend into :func:`executor_names` — and
-    therefore into the :class:`ValueError` message — so new modes cannot
-    drift out of the error text.
-    """
-    _EXECUTOR_BUILDERS[name] = _ExecutorEntry(builder=builder, needs_workers=needs_workers)
-
-
-def executor_names() -> tuple[str, ...]:
-    """Every registered ``executor=`` spelling, in registration order."""
-    return tuple(_EXECUTOR_BUILDERS)
-
-
-def __getattr__(name: str):  # pragma: no cover - thin compatibility shim
-    # ``VALID_EXECUTORS`` predates the registry; keep the import working but
-    # always reflect the *current* registrations (resilience.py registers
-    # "supervised" when it is imported).
-    if name == "VALID_EXECUTORS":
-        return executor_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def available_cpus() -> int:
@@ -130,28 +63,11 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def validate_executor_name(name: str) -> str:
-    """The single choice point for ``executor=`` strings.
-
-    Raises :class:`ValueError` naming the valid backends — derived from the
-    executor registry, never hand-maintained; both :func:`resolve_executor`
-    and ``runner.py --executor`` route through here, so an unknown spelling
-    never reaches ``evaluate_tasks``.
-    """
-    if name not in _EXECUTOR_BUILDERS:
-        raise ValueError(
-            f"unknown executor {name!r}: valid backends are "
-            + ", ".join(repr(valid) for valid in executor_names())
-        )
-    return name
-
-
 class ShardExecutor(abc.ABC):
     """Runs shard payloads and returns their records in shard order."""
 
-    #: Whether payloads cross a process boundary (and therefore whether the
-    #: shared-memory shipment path pays off).  ``evaluate_tasks`` defaults
-    #: to shm shipment exactly when this is ``True``.
+    #: Whether payloads cross a process boundary.  ``evaluate_tasks`` ships
+    #: descriptors whenever this is ``True`` (or a registry is passed).
     ships_payloads = False
 
     @abc.abstractmethod
@@ -164,33 +80,6 @@ class SerialShardExecutor(ShardExecutor):
 
     def run(self, payloads: Sequence[ShardPayload]) -> list[tuple[GroupRunRecord, ...]]:
         return [run_shard(payload) for payload in payloads]
-
-
-class ProcessShardExecutor(ShardExecutor):
-    """``concurrent.futures`` process-pool executor, one worker per shard slot.
-
-    Parameters
-    ----------
-    n_workers:
-        Worker process count.  Callers usually plan exactly ``n_workers``
-        shards, so every worker receives one payload; plans with more shards
-        than workers queue excess shards and drain them as workers free up.
-    """
-
-    ships_payloads = True
-
-    def __init__(self, n_workers: int) -> None:
-        if n_workers <= 0:
-            raise ConfigurationError("n_workers must be positive")
-        self.n_workers = n_workers
-
-    def run(self, payloads: Sequence[ShardPayload]) -> list[tuple[GroupRunRecord, ...]]:
-        if not payloads:
-            return []
-        max_workers = min(self.n_workers, len(payloads))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(run_shard, payload) for payload in payloads]
-            return [future.result() for future in futures]
 
 
 class PersistentShardExecutor(ShardExecutor):
@@ -297,48 +186,3 @@ class PersistentShardExecutor(ShardExecutor):
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
-
-
-def resolve_executor(
-    executor: ShardExecutor | str | None, n_workers: int | None
-) -> ShardExecutor:
-    """Resolve the user-facing ``executor=`` knob into a :class:`ShardExecutor`.
-
-    ``None`` picks the process backend (the only reason to reach the sharded
-    path is to fan out); strings select by name (unknown names raise
-    :class:`ValueError` from :func:`validate_executor_name`); instances pass
-    through.  The process-based backends demand an explicit worker count — a
-    silent one-worker pool would pickle the whole workload into a single
-    subprocess for zero parallelism, which is never what the caller meant.
-
-    Note on ``"persistent"``: resolving the string builds a *fresh*
-    :class:`PersistentShardExecutor`; persistence across calls requires the
-    caller to hold the instance (``ScalabilityEnvironment`` memoises one per
-    worker count).  ``evaluate_tasks`` shuts down any pool it resolved
-    itself, so a string never leaks worker processes.
-    """
-    if isinstance(executor, ShardExecutor):
-        return executor
-    name = EXECUTOR_PROCESS if executor is None else validate_executor_name(executor)
-    entry = _EXECUTOR_BUILDERS[name]
-    if entry.needs_workers and n_workers is None:
-        raise ConfigurationError(
-            f"the {name} executor needs an explicit "
-            "worker count: pass n_workers (or an executor instance)"
-        )
-    return entry.builder(n_workers)
-
-
-# -- built-in backend registrations --------------------------------------------------------------
-# Registration order is the order the ValueError text lists backends in;
-# extensions (repro.parallel.resilience's "supervised") append on import.
-
-register_executor(EXECUTOR_SERIAL, lambda n_workers: SerialShardExecutor(), needs_workers=False)
-register_executor(
-    EXECUTOR_PROCESS, lambda n_workers: ProcessShardExecutor(n_workers), needs_workers=True
-)
-register_executor(
-    EXECUTOR_PERSISTENT,
-    lambda n_workers: PersistentShardExecutor(n_workers),
-    needs_workers=True,
-)

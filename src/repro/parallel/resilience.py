@@ -51,9 +51,10 @@ fallback.  This module turns dispatch into a supervised operation:
   state and replays exactly.  ``REPRO_FAULT_PLAN`` injects a plan into any
   dispatch from the environment for local chaos runs.
 
-The ``supervised`` executor name registers here (a
-:class:`SupervisedDispatch` around a fresh persistent pool), which is how it
-appears in the single :class:`ValueError` choice point's backend list.
+The ``executor=`` spellings live here too, beside the supervisor that one of
+them wraps: :data:`EXECUTOR_NAMES` is the one constant list,
+:func:`validate_executor_name` the single :class:`ValueError` choice point
+and :func:`resolve_executor` the one place a name becomes a backend.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import random
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from concurrent.futures.process import BrokenProcessPool
 
@@ -76,10 +77,8 @@ from repro.exceptions import (
 )
 from repro.parallel.pool import (
     PersistentShardExecutor,
-    ProcessShardExecutor,
     SerialShardExecutor,
     ShardExecutor,
-    register_executor,
 )
 from repro.parallel.shm import (
     SharedArrayRegistry,
@@ -90,8 +89,11 @@ from repro.parallel.shm import (
 )
 from repro.parallel.worker import GroupRunRecord, ShardPayload, run_shard
 
-#: The fault-tolerant executor spelling (registered at the bottom).
+#: The ``executor=`` spellings, in the order the :class:`ValueError` lists them.
+EXECUTOR_SERIAL = "serial"
+EXECUTOR_PERSISTENT = "persistent"
 EXECUTOR_SUPERVISED = "supervised"
+EXECUTOR_NAMES = (EXECUTOR_SERIAL, EXECUTOR_PERSISTENT, EXECUTOR_SUPERVISED)
 
 #: Fault modes the injection harness understands.
 FAULT_CRASH = "crash"
@@ -472,15 +474,12 @@ def _rewrite_payload(payload: ShardPayload, mapping: dict[str, str]) -> ShardPay
 class SupervisedDispatch(ShardExecutor):
     """A fault-tolerant wrapper around any :class:`ShardExecutor`.
 
-    Process-crossing inner executors get the full treatment — per-shard
-    timeouts, retries, pool rebuilds, shm re-export, serial degradation.
-    A wrapped :class:`ProcessShardExecutor` is normalised to a run-scoped
-    persistent pool (same worker count, shut down before returning), so
-    retries do not pay a pool spawn per attempt and the pool-per-call
-    contract — no lingering workers — still holds.  In-process executors
-    get retries and degradation only: preemptive timeouts need a process
-    boundary, and a planned ``crash`` inside the parent is the caller's
-    own foot-gun (the chaos suite injects crashes into pooled backends).
+    A wrapped :class:`~repro.parallel.pool.PersistentShardExecutor` gets
+    the full treatment — per-shard timeouts, retries, pool rebuilds, shm
+    re-export, serial degradation.  In-process executors get retries and
+    degradation only: preemptive timeouts need a process boundary, and a
+    planned ``crash`` inside the parent is the caller's own foot-gun (the
+    chaos suite injects crashes into pooled backends).
 
     ``registry`` is the shm registry whose segments the current payloads
     reference; :func:`repro.parallel.evaluate_tasks` assigns it for the
@@ -535,12 +534,6 @@ class SupervisedDispatch(ShardExecutor):
             return []
         builder = _ReportBuilder()
         try:
-            if isinstance(self.executor, ProcessShardExecutor):
-                pool = PersistentShardExecutor(self.executor.n_workers)
-                try:
-                    return self._run_pooled(pool, payloads, builder)
-                finally:
-                    pool.shutdown()
             if isinstance(self.executor, PersistentShardExecutor):
                 return self._run_pooled(self.executor, payloads, builder)
             return self._run_inline(payloads, builder)
@@ -754,16 +747,57 @@ class SupervisedDispatch(ShardExecutor):
         return records
 
 
-# -- executor registration -----------------------------------------------------------------------
-# "supervised" = a SupervisedDispatch around a fresh persistent pool with the
-# default policy.  Like "persistent", resolving the string builds a fresh
-# instance; warmth across calls requires holding the instance (the
-# ScalabilityEnvironment wraps its own memoised pool instead).
+# -- executor names ------------------------------------------------------------------------------
 
-register_executor(
-    EXECUTOR_SUPERVISED,
-    lambda n_workers: SupervisedDispatch(
-        PersistentShardExecutor(n_workers), owns_executor=True
-    ),
-    needs_workers=True,
-)
+
+def validate_executor_name(name: str) -> str:
+    """The single choice point for ``executor=`` strings.
+
+    Raises :class:`ValueError` naming the valid backends;
+    :class:`~repro.parallel.policy.ExecutionPolicy`, :func:`resolve_executor`
+    and ``runner.py --executor`` all route through here, so an unknown
+    spelling never reaches ``evaluate_tasks``.
+    """
+    if name not in EXECUTOR_NAMES:
+        raise ValueError(
+            f"unknown executor {name!r}: valid backends are "
+            + ", ".join(repr(valid) for valid in EXECUTOR_NAMES)
+        )
+    return name
+
+
+def resolve_executor(
+    executor: ShardExecutor | str | None,
+    n_workers: int | None,
+    warm_pool: Callable[[int], PersistentShardExecutor] | None = None,
+    supervision: SupervisionPolicy | None = None,
+) -> ShardExecutor:
+    """Resolve the ``executor=`` knob into a :class:`ShardExecutor`.
+
+    Instances pass through; ``None`` means ``"persistent"`` (the only reason
+    to reach the sharded path is to fan out).  ``"persistent"`` is a worker
+    pool and ``"supervised"`` wraps one in a :class:`SupervisedDispatch`
+    starting under ``supervision``; both demand an explicit worker count,
+    because a silent one-worker pool would ship the whole workload to a
+    single subprocess for zero parallelism.
+
+    Without ``warm_pool`` the pool is fresh and the caller owns it —
+    ``evaluate_tasks`` shuts it down before returning, so a string never
+    leaks worker processes.  ``warm_pool`` (worker count → a pool the caller
+    keeps) is how ``ScalabilityEnvironment`` routes every pool name to its
+    memoised warm pools; a supervisor around such a pool never shuts it down.
+    """
+    if isinstance(executor, ShardExecutor):
+        return executor
+    name = validate_executor_name(EXECUTOR_PERSISTENT if executor is None else executor)
+    if name == EXECUTOR_SERIAL:
+        return SerialShardExecutor()
+    if n_workers is None:
+        raise ConfigurationError(
+            f"the {name} executor needs an explicit "
+            "worker count: pass n_workers (or an executor instance)"
+        )
+    pool = PersistentShardExecutor(n_workers) if warm_pool is None else warm_pool(n_workers)
+    if name == EXECUTOR_SUPERVISED:
+        return SupervisedDispatch(pool, policy=supervision, owns_executor=warm_pool is None)
+    return pool

@@ -47,14 +47,14 @@ eviction is transparent (the next use reattaches zero-copy).
 Bit-identity: the shared matrix holds the exact bytes of the parent's
 matrix, the tie-break ranking ships alongside it, and ``max_apref`` ships
 resolved — so a materialised factory builds indexes bit-identical to the
-pickled factory (enforced by ``tests/test_parallel_equivalence.py``'s shm
+parent's factory (enforced by ``tests/test_parallel_equivalence.py``'s shm
 axes).
 
 Sizing caveat: segments live in ``/dev/shm`` (a tmpfs typically capped at
 half the host's RAM).  The registry keeps one float64 copy of each exported
-substrate for the lifetime of the environment — the same order of memory the
-pickle path peaked at per dispatch, but held flat instead of re-allocated
-per shard.
+substrate for the lifetime of the environment — the same order of memory a
+by-value shipment would peak at per dispatch, but held flat instead of
+re-allocated per shard.
 
 Storage tier (PR 9): every descriptor carries a ``storage`` discriminator —
 :data:`~repro.parallel.storage.STORAGE_SHM` (a ``/dev/shm`` segment) or
@@ -96,11 +96,6 @@ from repro.parallel.storage import (
 #: Either backend's mapped-segment object: both expose ``name``/``size``/
 #: ``buf``/``close()``/``unlink()`` with identical semantics.
 Segment = shared_memory.SharedMemory | MappedFileSegment
-
-#: Shipment spellings accepted by :func:`repro.parallel.evaluate_tasks`.
-SHIPMENT_PICKLE = "pickle"
-SHIPMENT_SHM = "shm"
-VALID_SHIPMENTS = (SHIPMENT_PICKLE, SHIPMENT_SHM)
 
 #: Byte alignment of arrays packed into one segment.
 _ALIGNMENT = 16

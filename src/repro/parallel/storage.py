@@ -30,7 +30,7 @@ descriptor is still the authoritative discriminator.
 
 The storage axis is selected by name — :data:`STORAGE_SHM` (default) or
 :data:`STORAGE_MMAP` — validated through :func:`validate_storage_name`, the
-single choice point mirroring ``pool.validate_executor_name``.
+single choice point mirroring ``resilience.validate_executor_name``.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def validate_storage_name(storage: str) -> str:
     """Validate a storage backend name, returning it unchanged.
 
     The single choice point for the ``storage=`` axis, mirroring
-    ``pool.validate_executor_name`` for ``executor=``.
+    ``resilience.validate_executor_name`` for ``executor=``.
     """
     if storage not in VALID_STORAGES:
         valid = ", ".join(repr(name) for name in VALID_STORAGES)

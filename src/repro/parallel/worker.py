@@ -3,23 +3,24 @@
 A shard ships three things to its worker process:
 
 * the :class:`~repro.core.greca.GrecaIndexFactory` of every group appearing
-  in the shard (pickled once per shard, not once per task — sweeps that
-  evaluate one group at many sweep points reuse the shard-local factory and
-  its memoised column-sliced substrates exactly like the serial reuse layer);
-* one :class:`GroupEvalTask` per evaluation, carrying the *materialised*
-  affinity components (static / periodic / averages / time model), the
-  consensus function and the query knobs — everything the parent resolved, so
-  the worker never touches the recommender, the social network or the
-  dataset; and
+  in the shard — by shared-memory descriptor whenever the payload crosses a
+  process boundary — shipped once per shard, not once per task: sweeps
+  that evaluate one group at many sweep points reuse the shard-local
+  factory and its memoised column-sliced substrates exactly like the serial
+  reuse layer;
+* one :class:`GroupEvalTask` per evaluation, carrying a reference to the
+  group's full-timeline affinity columns plus the query period's prefix
+  length, the consensus function and the query knobs — everything the
+  parent resolved, so the worker never touches the recommender, the social
+  network or the dataset; and
 * the shard's original task indices, so the merger can scatter the records
   back into task order.
 
 :func:`run_shard` is the worker entry point: it rebuilds each task's index
-through ``factory.build`` — the exact code path the serial reuse layer uses,
-proven bit-identical to fresh construction by the PR 2 equivalence tests —
-and runs :class:`~repro.core.greca.Greca` on it.  Results come back as
-:class:`GroupRunRecord` values: plain, picklable scalars only (no numpy
-arrays, no list objects), which keeps the result pipes small.
+through ``factory.build_columns`` — the exact code path the serial reuse
+layer uses — and runs :class:`~repro.core.greca.Greca` on it.  Results come
+back as :class:`GroupRunRecord` values: plain, picklable scalars only (no
+numpy arrays, no list objects), which keeps the result pipes small.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.core.affinity import AffinityColumns
 from repro.core.greca import Greca, GrecaIndex, GrecaIndexFactory, GrecaResult
 from repro.core.consensus import ConsensusFunction
 from repro.exceptions import ConfigurationError
+from repro.parallel import shm
 
 #: Canonical group key used to address factories in a payload: a plain tuple
 #: of python ints, hashable and stable across pickling round-trips.
@@ -46,19 +48,12 @@ def group_key(group) -> GroupKey:
 class GroupEvalTask:
     """One group evaluation with fully materialised inputs.
 
-    The affinity inputs travel one of two ways:
-
-    * **dict path** — ``static`` / ``periodic`` / ``averages`` hold the
-      output of :meth:`~repro.core.recommender.GroupRecommender
-      .affinity_components` (or the raw case inputs in the engine tests),
-      pickled by value with the task;
-    * **columnar path** — ``affinity_ref`` holds an
-      :class:`~repro.core.affinity.AffinityColumns` (in-process) or an
-      :class:`~repro.parallel.shm.ShmAffinityHandle` (shared-memory
-      descriptors) covering the group's *full* timeline, and ``n_periods``
-      selects the query period's prefix.  The dict fields must then be
-      empty; the worker reconstructs them through the exact-float façade,
-      so both paths build bit-identical indexes.
+    ``affinity_ref`` holds an :class:`~repro.core.affinity.AffinityColumns`
+    (in-process) or an :class:`~repro.parallel.shm.ShmAffinityHandle`
+    (shared-memory descriptors) covering the group's *full* timeline, and
+    ``n_periods`` selects the query period's prefix; the worker rebuilds the
+    affinity inputs from them through the exact-float
+    :meth:`~repro.core.greca.GrecaIndexFactory.build_columns` path.
 
     ``items`` optionally restricts the candidate universe (``None`` means
     the factory's full catalogue).  ``kernel`` selects the round-kernel
@@ -70,21 +65,12 @@ class GroupEvalTask:
     group: GroupKey
     k: int
     consensus: ConsensusFunction
-    static: Mapping[tuple[int, int], float]
-    periodic: Mapping[int, Mapping[tuple[int, int], float]]
-    averages: Mapping[int, float]
     time_model: str
+    affinity_ref: AffinityColumns | shm.ShmAffinityHandle
+    n_periods: int
     items: tuple[int, ...] | None = None
     check_interval: int | None = None
-    affinity_ref: object | None = None
-    n_periods: int | None = None
     kernel: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.affinity_ref is not None and (self.static or self.periodic or self.averages):
-            raise ConfigurationError(
-                "a task carries either affinity dictionaries or an affinity_ref, not both"
-            )
 
 
 @dataclass(frozen=True)
@@ -129,10 +115,11 @@ class ShardPayload:
     """Everything one worker needs to evaluate one shard.
 
     ``factories`` maps each group either to its
-    :class:`~repro.core.greca.GrecaIndexFactory` (pickle shipment) or to a
-    :class:`~repro.parallel.shm.ShmFactoryHandle` (zero-copy shared-memory
-    shipment: only segment descriptors cross the pickle boundary, and
-    :func:`run_shard` reattaches the arrays worker-side).
+    :class:`~repro.core.greca.GrecaIndexFactory` (an in-process dispatch
+    without a registry) or to a :class:`~repro.parallel.shm.ShmFactoryHandle`
+    (zero-copy descriptor shipment: only segment descriptors cross the
+    pickle boundary, and :func:`run_shard` reattaches the arrays
+    worker-side).
 
     ``fault_plan`` is the deterministic fault-injection harness of
     :mod:`repro.parallel.resilience`: when set, :func:`run_shard` consults
@@ -150,7 +137,7 @@ class ShardPayload:
     Warm workers purge cache entries below it before running any task
     (:func:`~repro.parallel.shm.purge_stale`), which is how a persistent
     pool adopts a new epoch — retired-segment caches dropped in-worker —
-    without being restarted.  ``0`` (the pickle-shipment default) purges
+    without being restarted.  ``0`` (the ephemeral-registry default) purges
     nothing.
     """
 
@@ -176,23 +163,12 @@ class ShardPayload:
 
 
 def build_task_index(task: GroupEvalTask, factory: GrecaIndexFactory) -> GrecaIndex:
-    """Build the task's index through whichever affinity path it carries."""
-    if task.affinity_ref is not None:
-        from repro.parallel.shm import resolve_affinity_columns
-
-        columns = resolve_affinity_columns(task.affinity_ref)
-        return factory.build_columns(
-            columns,
-            time_model=task.time_model,
-            items=task.items,
-            n_periods=task.n_periods,
-        )
-    return factory.build(
-        task.static,
-        periodic=task.periodic,
-        averages=task.averages,
+    """Build the task's index from its (possibly shipped) affinity columns."""
+    return factory.build_columns(
+        shm.resolve_affinity_columns(task.affinity_ref),
         time_model=task.time_model,
         items=task.items,
+        n_periods=task.n_periods,
     )
 
 
@@ -211,29 +187,21 @@ def _stable_index_key(task: GroupEvalTask, factory_ref: object) -> tuple | None:
     Only fully handle-addressed tasks qualify: the factory and the affinity
     columns must both have arrived as shared-memory handles, whose values
     identify the underlying segments across dispatches — that is what makes
-    the per-process index memo safe on a warm persistent pool.  By-value
-    shipments get no cross-payload key (a fresh pickle copy has no stable
-    identity); they still batch within one payload via the shard-local memo.
+    the per-process index memo safe on a warm persistent pool.  In-process
+    objects get no cross-payload key (an object identity is not stable
+    across payloads); they still batch within one payload via the
+    shard-local memo.
 
     Handle equality covers the full descriptor — segment name, shape, dtype,
     offset, *storage backend* and export generation — so an shm handle and
     an mmap handle for the same logical column, or two exports over a
     recycled segment name, can never alias one memo entry.
     """
-    from repro.parallel.shm import ShmAffinityHandle, ShmFactoryHandle
-
-    if not isinstance(factory_ref, ShmFactoryHandle):
+    if not isinstance(factory_ref, shm.ShmFactoryHandle):
         return None
-    if not isinstance(task.affinity_ref, ShmAffinityHandle):
+    if not isinstance(task.affinity_ref, shm.ShmAffinityHandle):
         return None
     return (factory_ref, task.affinity_ref, task.n_periods, task.items, task.time_model)
-
-
-def _shard_local_key(task: GroupEvalTask) -> tuple | None:
-    """A within-payload memo key (id-based; the payload keeps the refs alive)."""
-    if task.affinity_ref is None:
-        return None
-    return (task.group, id(task.affinity_ref), task.n_periods, task.items, task.time_model)
 
 
 def run_shard(payload: ShardPayload) -> tuple[GroupRunRecord, ...]:
@@ -255,8 +223,6 @@ def run_shard(payload: ShardPayload) -> tuple[GroupRunRecord, ...]:
     Must stay a module-level function so process pools can address it by
     qualified name regardless of the start method.
     """
-    from repro.parallel import shm
-
     if payload.min_generation:
         # Epoch adoption on a warm pool: drop caches (and attachments) of
         # exports the shipping registry has since retired, before anything
@@ -273,17 +239,21 @@ def run_shard(payload: ShardPayload) -> tuple[GroupRunRecord, ...]:
             payload.fault_plan.trigger(payload.shard_index, position, payload.attempt)
         factory = factories[task.group]
         stable_key = _stable_index_key(task, payload.factories[task.group])
-        local_key = _shard_local_key(task)
+        # Within one payload, object identity is enough: the payload keeps
+        # every affinity reference alive until the shard finishes.
+        local_key = (
+            task.group, id(task.affinity_ref), task.n_periods, task.items, task.time_model
+        )
         index = None
         if stable_key is not None:
             index = shm.cached_index(stable_key)
-        if index is None and local_key is not None:
+        if index is None:
             index = local_indexes.get(local_key)
         if index is None:
             index = build_task_index(task, factory)
             if stable_key is not None:
                 shm.store_index(stable_key, index)
-            elif local_key is not None:
+            else:
                 local_indexes[local_key] = index
         algorithm = Greca(
             task.consensus, k=task.k, check_interval=task.check_interval, kernel=task.kernel

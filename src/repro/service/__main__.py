@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--executor",
         default="supervised",
-        help='dispatch backend ("supervised", "persistent", "process", '
-        '"serial") or "reference" for the in-process serial path',
+        help='dispatch backend ("supervised", "persistent", "serial") or '
+        '"reference" for the in-process serial path',
     )
     parser.add_argument(
         "--storage",

@@ -40,7 +40,11 @@ from typing import Sequence
 
 from repro.core.consensus import ConsensusFunction
 from repro.exceptions import ConfigurationError, ServiceError
-from repro.experiments.scalability import ScalabilityConfig, ScalabilityEnvironment
+from repro.experiments.scalability import (
+    ScalabilityConfig,
+    ScalabilityEnvironment,
+    check_query_knobs,
+)
 from repro.parallel import (
     EXECUTOR_SUPERVISED,
     DispatchReport,
@@ -98,6 +102,12 @@ class GroupQuery:
     arguments.  ``period_index`` addresses the environment's timeline by
     position (``None`` = the current period) so clients never construct
     :class:`~repro.core.timeline.Period` objects.
+
+    Construction rejects what no environment could serve — an empty group,
+    ``k`` or ``n_items`` below 1, a negative ``period_index`` — so a
+    malformed query raises before :meth:`GrecaService.submit` gives it
+    queue room.  The timeline-range and unknown-user checks need the
+    environment (deltas grow the timeline) and run at dispatch.
     """
 
     group: tuple[int, ...]
@@ -111,6 +121,11 @@ class GroupQuery:
         object.__setattr__(self, "group", group_key(self.group))
         if not self.group:
             raise ConfigurationError("a query needs a non-empty group")
+        check_query_knobs(self.k, self.n_items)
+        if self.period_index is not None and self.period_index < 0:
+            raise ConfigurationError(
+                f"period_index must be non-negative, got {self.period_index!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,45 @@ def greca_case_inputs(case: dict[str, Any]) -> dict[str, Any]:
     )
 
 
+def grid_tasks(kernel: str | None = None) -> tuple[list, dict]:
+    """Every GRECA grid case as a shippable columnar task + its group factory.
+
+    The sharded-layer suites replay the grid through
+    :func:`repro.parallel.evaluate_tasks` with these.  Distinct cases share
+    member ids, so the factory key embeds the case index to keep one factory
+    (and one preference substrate) per case.  Every case uses contiguous
+    period indices, so its affinity inputs convert to one full-timeline
+    :class:`~repro.core.affinity.AffinityColumns` set with an explicit full
+    prefix.  ``kernel`` rides on every task (``None`` = the reference tier).
+    """
+    from repro.core.affinity import AffinityColumns
+    from repro.core.greca import GrecaIndexFactory
+    from repro.parallel import GroupEvalTask, group_key
+
+    tasks = []
+    factories = {}
+    for case_index, case in enumerate(GRECA_CASES):
+        inputs = greca_case_inputs(case)
+        key = group_key([case_index * 1000 + member for member in inputs["members"]])
+        factories[key] = GrecaIndexFactory(members=inputs["members"], aprefs=inputs["aprefs"])
+        columns = AffinityColumns.from_components(
+            inputs["static"], inputs["periodic"], inputs["averages"]
+        )
+        tasks.append(
+            GroupEvalTask(
+                group=key,
+                k=case["k"],
+                consensus=make_consensus(case["consensus"]),
+                time_model=inputs["time_model"],
+                affinity_ref=columns,
+                n_periods=columns.n_periods,
+                check_interval=case["check_interval"],
+                kernel=kernel,
+            )
+        )
+    return tasks, factories
+
+
 def build_greca_case(case: dict[str, Any]) -> tuple[GrecaIndex, Greca]:
     """Materialise one GRECA grid case (index + configured algorithm)."""
     index = GrecaIndex(**greca_case_inputs(case))

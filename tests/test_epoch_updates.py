@@ -16,7 +16,7 @@ merged ratings/likes/timeline" world.  Every test compares the evolved
 
 * serial records across periods / consensus / k / item-subset knobs;
 * the sharded tiers at shard counts {1, 2, 3, 7} — persistent warm pools,
-  supervised dispatch, process pools under both pickle and shm shipment;
+  supervised dispatch, a fresh call-owned pool over shm descriptors;
 * the figure 6 / figure 8 drivers;
 * the asyncio service: ``submit_delta`` between query waves, with epoch
   adoption and **zero pool restarts** (asserted via pool object identity);
@@ -227,15 +227,12 @@ def test_incremental_supervised_matches_oracle(evolved, oracle_env, groups):
     assert env.dispatch_reports[-1].ok
 
 
-@pytest.mark.parametrize("shipment", ("pickle", "shm"))
-def test_incremental_process_shipment_matrix(evolved, oracle_env, groups, shipment):
-    """Post-delta factories survive both shipment modes bit-identically."""
+def test_incremental_process_shipment_matrix(evolved, oracle_env, groups):
+    """Post-delta factories ship by descriptor to a fresh pool bit-identically."""
     env, _ = evolved
     tasks = [env.task_for(group) for group in groups]
     factories = {group_key(group): env.index_factory(group) for group in groups}
-    records = evaluate_tasks(
-        tasks, factories, n_shards=2, executor="process", shipment=shipment
-    )
+    records = evaluate_tasks(tasks, factories, n_shards=2)
     assert_records_identical(records, oracle_env.run_records(groups))
 
 

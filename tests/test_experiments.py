@@ -58,6 +58,32 @@ class TestScalabilityEnvironment:
         value = small_env.percent_sa(group, n_items=100)
         assert 0.0 < value <= 100.0
 
+    def test_zero_k_raises_instead_of_meaning_the_default(self, small_env):
+        group = small_env.random_groups(1)[0]
+        assert small_env.task_for(group).k == small_env.config.k  # None: the default
+        for call in (
+            lambda: small_env.task_for(group, k=0),
+            lambda: small_env.task_for(group, k=-1),
+            lambda: small_env.run_records([group], k=0),
+            lambda: small_env.percent_sa(group, k=0),
+        ):
+            with pytest.raises(ConfigurationError, match="k must be at least 1"):
+                call()
+
+    def test_non_positive_n_items_raises_instead_of_slicing_from_the_end(self, small_env):
+        group = small_env.random_groups(1)[0]
+        assert small_env.task_for(group).items is None  # None: the full catalogue
+        assert len(small_env.task_for(group, n_items=5).items) == 5
+        for call in (
+            lambda: small_env.task_for(group, n_items=-5),
+            lambda: small_env.task_for(group, n_items=0),
+            lambda: small_env.run_records([group], n_items=-5),
+            lambda: small_env.percent_sa(group, n_items=-5),
+            lambda: small_env.cached_index(group, n_items=-5),
+        ):
+            with pytest.raises(ConfigurationError, match="n_items must be at least 1"):
+                call()
+
 
 class TestTable5:
     def test_synthetic_dataset(self):

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.core.affinity import AffinityColumns
 from repro.core.consensus import make_consensus
 from repro.core.greca import GrecaIndexFactory
 from repro.exceptions import (
@@ -36,20 +37,19 @@ from repro.exceptions import (
     InjectedFaultError,
 )
 from repro.parallel import (
+    EXECUTOR_NAMES,
     DispatchReport,
     ExecutionPolicy,
     FaultPlan,
     FaultSpec,
     GroupEvalTask,
     PersistentShardExecutor,
-    ProcessShardExecutor,
     SerialShardExecutor,
     SharedArrayRegistry,
     SupervisedDispatch,
     SupervisionPolicy,
     build_payloads,
     evaluate_tasks,
-    executor_names,
     fault_plan_from_env,
     group_key,
     plan_shards,
@@ -84,19 +84,22 @@ def workload():
         group_key([1, 2, 3]): _make_factory([1, 2, 3], seed=7),
         group_key([4, 5, 6]): _make_factory([4, 5, 6], seed=11),
     }
-    statics = {
-        group_key([1, 2, 3]): {(1, 2): 0.4, (1, 3): 0.1, (2, 3): 0.8},
-        group_key([4, 5, 6]): {(4, 5): 0.6, (4, 6): 0.3, (5, 6): 0.2},
+    columns = {
+        group_key([1, 2, 3]): AffinityColumns.from_components(
+            {(1, 2): 0.4, (1, 3): 0.1, (2, 3): 0.8}
+        ),
+        group_key([4, 5, 6]): AffinityColumns.from_components(
+            {(4, 5): 0.6, (4, 6): 0.3, (5, 6): 0.2}
+        ),
     }
     tasks = [
         GroupEvalTask(
             group=key,
             k=k,
             consensus=make_consensus("AP"),
-            static=statics[key],
-            periodic={},
-            averages={},
             time_model="discrete",
+            affinity_ref=columns[key],
+            n_periods=0,
         )
         for key in groups
         for k in (3, 5, 4, 6)
@@ -318,35 +321,33 @@ def test_registry_reexport_missing_recreates_vanished_segments(workload):
 def test_supervisor_heals_externally_unlinked_segments(workload, reference):
     """Vanished segments are re-exported mid-dispatch and the retry succeeds.
 
-    The supervisor wraps a :class:`ProcessShardExecutor` here, so retry
+    Each supervisor wraps its own fresh persistent pool here, so retry
     workers fork fresh (empty caches) and genuinely re-attach through the
     healed handles.
     """
     factories, tasks = workload
     registry = SharedArrayRegistry()
-    warmup = SupervisedDispatch(
-        ProcessShardExecutor(2), policy=SupervisionPolicy(**FAST), owns_executor=True
-    )
-    records = evaluate_tasks(
-        tasks, factories, n_shards=2, executor=warmup, registry=registry
-    )
+    with PersistentShardExecutor(2) as pool:
+        warmup = SupervisedDispatch(pool, policy=SupervisionPolicy(**FAST))
+        records = evaluate_tasks(
+            tasks, factories, n_shards=2, executor=warmup, registry=registry
+        )
     assert records == reference
     names_before = list(registry.segment_names)
     victim = shared_memory.SharedMemory(name=names_before[0])
     victim.unlink()  # an over-eager tracker / foreign cleanup nukes the file
     victim.close()
-    supervisor = SupervisedDispatch(
-        ProcessShardExecutor(2), policy=SupervisionPolicy(**FAST), owns_executor=True
-    )
     reports: list[DispatchReport] = []
-    healed = evaluate_tasks(
-        tasks,
-        factories,
-        n_shards=2,
-        executor=supervisor,
-        registry=registry,
-        reports=reports,
-    )
+    with PersistentShardExecutor(2) as pool:
+        supervisor = SupervisedDispatch(pool, policy=SupervisionPolicy(**FAST))
+        healed = evaluate_tasks(
+            tasks,
+            factories,
+            n_shards=2,
+            executor=supervisor,
+            registry=registry,
+            reports=reports,
+        )
     (report,) = reports
     assert healed == reference
     assert report.ok
@@ -391,7 +392,7 @@ def test_supervision_keyword_wraps_any_backend(workload, reference):
         tasks,
         factories,
         n_shards=2,
-        executor="process",
+        executor="persistent",
         supervision=SupervisionPolicy(**FAST),
         fault_plan=plan,
         reports=reports,
@@ -477,7 +478,7 @@ def test_report_properties_and_summaries(workload, reference):
 
 
 def test_supervised_registers_at_the_single_choice_point():
-    assert "supervised" in executor_names()
+    assert "supervised" in EXECUTOR_NAMES
     assert validate_executor_name("supervised") == "supervised"
     with pytest.raises(ValueError, match="'supervised'"):
         validate_executor_name("definitely-not-a-backend")

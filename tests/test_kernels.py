@@ -13,8 +13,9 @@ along the same axes the storage/executor seams use:
 * **property suite** — the 56 randomized instances of
   ``tests/test_engine_properties.py`` replayed per kernel;
 * **sharded tiers** — the grid through :func:`repro.parallel.evaluate_tasks`
-  at shard counts {1, 2, 3, 7} under pickle, shm and mmap storage, the
-  chaos (supervised fault-recovery) path, and epoch-swapped environments;
+  at shard counts {1, 2, 3, 7} by value in-process and by shm and mmap
+  descriptor, through real workers, the chaos (supervised fault-recovery)
+  path, and epoch-swapped environments;
 * **plumbing** — the ``kernel`` knob round-trips through
   :class:`~repro.parallel.ExecutionPolicy`,
   :class:`~repro.experiments.scalability.ScalabilityEnvironment`,
@@ -35,7 +36,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from engine_grid import GRECA_CASES, greca_case_inputs
+from engine_grid import GRECA_CASES, greca_case_inputs, grid_tasks
 from test_engine_properties import (
     MAX_APREF,
     SEEDS,
@@ -63,8 +64,8 @@ from repro.parallel import (
     ExecutionPolicy,
     FaultPlan,
     FaultSpec,
-    GroupEvalTask,
     SerialShardExecutor,
+    SharedArrayRegistry,
     SupervisionPolicy,
     evaluate_tasks,
     group_key,
@@ -256,32 +257,6 @@ def test_advance_on_drained_lists_is_a_no_op(kernel):
 # -- sharded tiers ------------------------------------------------------------------------------
 
 
-def _grid_tasks(kernel: str | None):
-    """Every golden-grid case as a shippable task carrying ``kernel``."""
-    tasks: list[GroupEvalTask] = []
-    factories: dict = {}
-    for case_index, case in enumerate(GRECA_CASES):
-        inputs = greca_case_inputs(case)
-        key = group_key([case_index * 1000 + member for member in inputs["members"]])
-        factories[key] = GrecaIndexFactory(
-            members=inputs["members"], aprefs=inputs["aprefs"]
-        )
-        tasks.append(
-            GroupEvalTask(
-                group=key,
-                k=case["k"],
-                consensus=make_consensus(case["consensus"]),
-                static=inputs["static"],
-                periodic=inputs["periodic"],
-                averages=inputs["averages"],
-                time_model=inputs["time_model"],
-                check_interval=case["check_interval"],
-                kernel=kernel,
-            )
-        )
-    return tasks, factories
-
-
 @pytest.fixture(scope="module")
 def grid_serial():
     """Serial reference-kernel records: fresh construction, one run per case."""
@@ -303,15 +278,15 @@ def assert_records_identical(actual, expected):
 
 def test_task_borne_kernel_reaches_the_worker(grid_serial):
     """run_task honours the task's kernel; results stay the reference's."""
-    tasks, factories = _grid_tasks(KERNEL_FUSED)
+    tasks, factories = grid_tasks(KERNEL_FUSED)
     records = [run_task(task, factories[task.group]) for task in tasks]
     assert_records_identical(records, grid_serial)
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_grid_fused_sharded_pickle_matches_serial(grid_serial, n_shards):
-    """Fused tasks, by-value payloads, shard counts {1, 2, 3, 7}."""
-    tasks, factories = _grid_tasks(KERNEL_FUSED)
+    """Fused tasks, by-value in-process payloads, shard counts {1, 2, 3, 7}."""
+    tasks, factories = grid_tasks(KERNEL_FUSED)
     records = evaluate_tasks(
         tasks, factories, n_shards=n_shards, executor=SerialShardExecutor()
     )
@@ -321,42 +296,43 @@ def test_grid_fused_sharded_pickle_matches_serial(grid_serial, n_shards):
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_grid_fused_sharded_shm_matches_serial(grid_serial, n_shards):
     """Fused tasks over shm descriptor shipment, {1, 2, 3, 7}."""
-    tasks, factories = _grid_tasks(KERNEL_FUSED)
-    records = evaluate_tasks(
-        tasks,
-        factories,
-        n_shards=n_shards,
-        executor=SerialShardExecutor(),
-        shipment="shm",
-    )
+    tasks, factories = grid_tasks(KERNEL_FUSED)
+    with SharedArrayRegistry() as registry:
+        records = evaluate_tasks(
+            tasks,
+            factories,
+            n_shards=n_shards,
+            executor=SerialShardExecutor(),
+            registry=registry,
+        )
     assert_records_identical(records, grid_serial)
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_grid_fused_sharded_mmap_matches_serial(grid_serial, n_shards):
     """Fused tasks over mmap spool-file storage, {1, 2, 3, 7}."""
-    tasks, factories = _grid_tasks(KERNEL_FUSED)
-    records = evaluate_tasks(
-        tasks,
-        factories,
-        n_shards=n_shards,
-        executor=SerialShardExecutor(),
-        shipment="shm",
-        storage="mmap",
-    )
+    tasks, factories = grid_tasks(KERNEL_FUSED)
+    with SharedArrayRegistry(storage="mmap") as registry:
+        records = evaluate_tasks(
+            tasks,
+            factories,
+            n_shards=n_shards,
+            executor=SerialShardExecutor(),
+            registry=registry,
+        )
     assert_records_identical(records, grid_serial)
 
 
 def test_grid_fused_through_real_process_workers(grid_serial):
     """The kernel name survives pickling into a real worker process."""
-    tasks, factories = _grid_tasks(KERNEL_FUSED)
-    records = evaluate_tasks(tasks, factories, n_shards=2, executor="process")
+    tasks, factories = grid_tasks(KERNEL_FUSED)
+    records = evaluate_tasks(tasks, factories, n_shards=2)
     assert_records_identical(records, grid_serial)
 
 
 def test_grid_fused_chaos_recovery_matches_serial(grid_serial):
     """Supervised fault recovery re-ships fused tasks; records stay exact."""
-    tasks, factories = _grid_tasks(KERNEL_FUSED)
+    tasks, factories = grid_tasks(KERNEL_FUSED)
     plan = FaultPlan(
         (
             FaultSpec(shard=0, position=1, mode="raise", fires=1),

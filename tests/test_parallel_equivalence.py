@@ -8,9 +8,9 @@ reference sequence.  This suite pins that down at three levels:
 
 * **engine level** — the golden grid of :mod:`engine_grid` replayed through
   :func:`repro.parallel.evaluate_tasks` at shard counts {1, 2, 3, 7}, with
-  the in-process, process-pool and persistent-pool executors and both
-  shipment modes (pickle-by-value and zero-copy shared memory), against a
-  serial :class:`~repro.core.greca.Greca` reference run;
+  the in-process and persistent-pool executors, with and without zero-copy
+  descriptor shipment, over shm and mmap storage, against a serial
+  :class:`~repro.core.greca.Greca` reference run;
 * **plan level** — seeded property cases: *arbitrary* partitions of the task
   indices (shuffled, uneven, non-contiguous) merge to exactly the serial
   sequence, so the planner's particular slicing policy is irrelevant to
@@ -33,12 +33,15 @@ import inspect
 import os
 import random
 
+import numpy as np
 import pytest
 
+import engine_grid
 from engine_grid import GRECA_CASES, greca_case_inputs
 
+from repro.core.affinity import AffinityColumns
 from repro.core.consensus import make_consensus
-from repro.core.greca import Greca, GrecaIndex, GrecaIndexFactory
+from repro.core.greca import Greca, GrecaIndex
 from repro.exceptions import ConfigurationError
 from repro.experiments import figure4, figure5, figure6, figure7, figure8, runner
 from repro.experiments.scalability import (
@@ -50,10 +53,10 @@ from repro.experiments.scalability import (
     summarize_percent_sa,
 )
 from repro.parallel import (
+    EXECUTOR_NAMES,
     ExecutionPolicy,
     GroupEvalTask,
     PersistentShardExecutor,
-    ProcessShardExecutor,
     SerialShardExecutor,
     ShardPayload,
     ShardPlan,
@@ -134,35 +137,6 @@ def test_group_key_canonicalises_to_python_ints():
 # -- engine level: the golden grid through the sharded pipeline ---------------------------------
 
 
-def _grid_tasks() -> tuple[list[GroupEvalTask], dict]:
-    """Every golden-grid GRECA case as a shippable task + its group factory.
-
-    Distinct cases share member ids, so the factory key embeds the case index
-    to keep one factory (and one preference substrate) per case.
-    """
-    tasks: list[GroupEvalTask] = []
-    factories: dict = {}
-    for case_index, case in enumerate(GRECA_CASES):
-        inputs = greca_case_inputs(case)
-        key = group_key([case_index * 1000 + member for member in inputs["members"]])
-        factories[key] = GrecaIndexFactory(
-            members=inputs["members"], aprefs=inputs["aprefs"]
-        )
-        tasks.append(
-            GroupEvalTask(
-                group=key,
-                k=case["k"],
-                consensus=make_consensus(case["consensus"]),
-                static=inputs["static"],
-                periodic=inputs["periodic"],
-                averages=inputs["averages"],
-                time_model=inputs["time_model"],
-                check_interval=case["check_interval"],
-            )
-        )
-    return tasks, factories
-
-
 def _grid_serial_records() -> list:
     """Serial reference: fresh index construction + one Greca run per case."""
     records = []
@@ -186,7 +160,7 @@ def grid_serial():
 
 @pytest.fixture(scope="module")
 def grid_tasks():
-    return _grid_tasks()
+    return engine_grid.grid_tasks()
 
 
 def assert_records_identical(actual, expected):
@@ -210,36 +184,88 @@ def test_grid_sharded_inprocess_matches_serial(grid_tasks, grid_serial, n_shards
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_grid_sharded_process_pool_matches_serial(grid_tasks, grid_serial, n_shards):
-    """Golden grid, real process workers (default shm shipment), {1, 2, 3, 7}."""
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(tasks, factories, n_shards=n_shards, executor="process")
-    assert_records_identical(records, grid_serial)
+    """Golden grid through a call-owned pool of real workers, {1, 2, 3, 7}.
 
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_grid_sharded_process_pickle_shipment_matches_serial(
-    grid_tasks, grid_serial, n_shards
-):
-    """Golden grid, process workers with forced by-value pickle shipment."""
+    ``n_shards`` alone resolves to a fresh persistent pool that the call
+    shuts down; factories and affinity columns ship by shm descriptor.
+    """
     tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        tasks, factories, n_shards=n_shards, executor="process", shipment="pickle"
-    )
+    records = evaluate_tasks(tasks, factories, n_shards=n_shards)
     assert_records_identical(records, grid_serial)
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_grid_sharded_shm_inprocess_matches_serial(grid_tasks, grid_serial, n_shards):
-    """Golden grid, forced shm shipment attached in-process, {1, 2, 3, 7}.
+    """Golden grid, shm descriptors attached in-process, {1, 2, 3, 7}.
 
-    Exercises export → descriptor → reattach → ``GrecaIndexFactory
-    .from_columns`` without any process in between, so a divergence here is
-    a shipment bug, not a scheduling one.
+    A caller-owned registry makes even the in-process backend ship
+    descriptors, exercising export → descriptor → reattach →
+    ``GrecaIndexFactory.from_columns`` / ``build_columns`` for both the
+    factories and the affinity columns without any process in between, so
+    a divergence here is a shipment bug, not a scheduling one.
     """
     tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        tasks, factories, n_shards=n_shards, executor=SerialShardExecutor(), shipment="shm"
-    )
+    with SharedArrayRegistry() as registry:
+        records = evaluate_tasks(
+            tasks,
+            factories,
+            n_shards=n_shards,
+            executor=SerialShardExecutor(),
+            registry=registry,
+        )
+    assert_records_identical(records, grid_serial)
+
+
+def _padded_timeline_tasks(tasks: list) -> list:
+    """The grid tasks over columns grown by one trailing period they must not read.
+
+    Each task keeps its ``n_periods``, so its query covers only the prefix
+    of the shipped columns — the way one full-timeline export serves every
+    query period of a sweep.  The extra row holds values no grid case uses,
+    so a worker that read past its prefix would change the records.
+    """
+    padded = []
+    for task in tasks:
+        columns = task.affinity_ref
+        grown = AffinityColumns(
+            pairs=columns.pairs,
+            static=columns.static,
+            periodic=np.vstack([columns.periodic, np.full((1, columns.n_pairs), 0.97)]),
+            averages=np.append(columns.averages, 0.03),
+        )
+        padded.append(dataclasses.replace(task, affinity_ref=grown))
+    return padded
+
+
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+def test_grid_columnar_affinity_inprocess_shm_matches_serial(
+    grid_tasks, grid_serial, n_shards
+):
+    """Prefix queries over longer affinity columns, shm descriptors attached in-process.
+
+    Exercises export_affinity → descriptor → reattach → prefix selection
+    without any process in between, so a divergence here is an
+    affinity-shipment bug, not a scheduling one.
+    """
+    tasks, factories = grid_tasks
+    with SharedArrayRegistry() as registry:
+        records = evaluate_tasks(
+            _padded_timeline_tasks(tasks),
+            factories,
+            n_shards=n_shards,
+            executor=SerialShardExecutor(),
+            registry=registry,
+        )
+    assert_records_identical(records, grid_serial)
+
+
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+def test_grid_columnar_affinity_process_shm_matches_serial(
+    grid_tasks, grid_serial, n_shards
+):
+    """Prefix queries over longer affinity columns through real workers, {1, 2, 3, 7}."""
+    tasks, factories = grid_tasks
+    records = evaluate_tasks(_padded_timeline_tasks(tasks), factories, n_shards=n_shards)
     assert_records_identical(records, grid_serial)
 
 
@@ -347,19 +373,19 @@ def test_any_partition_merges_to_the_serial_records(grid_tasks, grid_serial, see
 
 
 def test_random_partition_through_real_processes(grid_tasks, grid_serial):
-    """One shuffled partition end-to-end through the process pool."""
+    """One shuffled partition end-to-end through a real worker pool."""
     tasks, factories = grid_tasks
     plan = _random_partition(random.Random(99), len(tasks))
-    records = evaluate_tasks(
-        tasks, factories, executor=ProcessShardExecutor(n_workers=3), plan=plan
-    )
+    with PersistentShardExecutor(n_workers=3) as pool:
+        records = evaluate_tasks(tasks, factories, executor=pool, plan=plan)
     assert_records_identical(records, grid_serial)
 
 
 def test_executor_worker_count_drives_default_shard_count(grid_tasks, grid_serial):
     """An executor instance without n_shards fans out one shard per worker."""
     tasks, factories = grid_tasks
-    records = evaluate_tasks(tasks, factories, executor=ProcessShardExecutor(n_workers=3))
+    with PersistentShardExecutor(n_workers=3) as pool:
+        records = evaluate_tasks(tasks, factories, executor=pool)
     assert_records_identical(records, grid_serial)
 
 
@@ -382,21 +408,21 @@ def test_evaluate_tasks_without_knobs_stays_in_process(grid_tasks, grid_serial):
 
 
 def test_process_executor_requires_a_worker_count(grid_tasks):
-    """executor='process' without n_workers errors instead of silently using 1."""
+    """Pool backends without n_workers error instead of silently using 1."""
     tasks, factories = grid_tasks
     with pytest.raises(ConfigurationError):
-        evaluate_tasks(tasks, factories, executor="process")
-    with pytest.raises(ConfigurationError):
         evaluate_tasks(tasks, factories, executor="persistent")
+    with pytest.raises(ConfigurationError):
+        evaluate_tasks(tasks, factories, executor="supervised")
 
 
 @pytest.mark.parametrize("bogus", ["threads", "thread", "PROCESS", "async", ""])
 def test_unknown_executor_name_raises_value_error(grid_tasks, bogus):
     """Unknown executor names fail at the single choice point, listing backends."""
     tasks, factories = grid_tasks
-    with pytest.raises(ValueError, match="'serial', 'process', 'persistent'"):
+    with pytest.raises(ValueError, match="'serial', 'persistent', 'supervised'"):
         resolve_executor(bogus, 2)
-    with pytest.raises(ValueError, match="'serial', 'process', 'persistent'"):
+    with pytest.raises(ValueError, match="'serial', 'persistent', 'supervised'"):
         evaluate_tasks(tasks, factories, n_shards=2, executor=bogus)
 
 
@@ -404,14 +430,8 @@ def test_runner_rejects_unknown_executor_before_running():
     """--executor goes through the same choice point, before any experiment."""
     from repro.experiments import runner
 
-    with pytest.raises(ValueError, match="'serial', 'process', 'persistent'"):
+    with pytest.raises(ValueError, match="'serial', 'persistent', 'supervised'"):
         runner.main(["--executor", "threads", "--list"])
-
-
-def test_unknown_shipment_raises_value_error(grid_tasks):
-    tasks, factories = grid_tasks
-    with pytest.raises(ValueError, match="shipment"):
-        evaluate_tasks(tasks, factories, n_shards=2, executor="serial", shipment="carrier-pigeon")
 
 
 def test_run_shard_preserves_shard_order(grid_tasks):
@@ -439,7 +459,7 @@ def test_payload_requires_every_factory(grid_tasks):
 @pytest.fixture(scope="module")
 def tiny_environment() -> ScalabilityEnvironment:
     """A seconds-scale substrate: 5 groups over a 260-item catalogue."""
-    return ScalabilityEnvironment(
+    env = ScalabilityEnvironment(
         ScalabilityConfig(
             n_users=60,
             n_items=260,
@@ -449,6 +469,8 @@ def tiny_environment() -> ScalabilityEnvironment:
             seed=11,
         )
     )
+    yield env
+    env.close()
 
 
 @pytest.fixture(scope="module")
@@ -515,13 +537,20 @@ def test_environment_persistent_executor_is_shard_count_invariant(
 def test_environment_persistent_pool_is_reused_across_calls(
     tiny_environment, tiny_groups
 ):
-    """Same worker count → same pool object and same warm ProcessPoolExecutor."""
+    """Same worker count → same pool object and same warm ProcessPoolExecutor.
+
+    A bare ``n_workers`` policy routes to that same warm pool: the
+    environment has one pool per worker count, whatever the spelling.
+    """
     first = tiny_environment.run_records(tiny_groups, policy=PERSISTENT_POLICY)
     pool = tiny_environment._persistent_pools[2]
     inner = pool._pool
     second = tiny_environment.run_records(tiny_groups, policy=PERSISTENT_POLICY)
     assert tiny_environment._persistent_pools[2] is pool and pool._pool is inner
     assert_records_identical(second, first)
+    third = tiny_environment.run_records(tiny_groups, policy=ExecutionPolicy(n_workers=2))
+    assert tiny_environment._persistent_pools[2] is pool and pool._pool is inner
+    assert_records_identical(third, first)
 
 
 def test_environment_close_releases_and_recreates_lazily(tiny_environment, tiny_groups):
@@ -583,114 +612,38 @@ def test_figure_drivers_sharded_match_serial(tiny_environment, tiny_groups):
     assert sharded8 == serial8
 
 
-# -- columnar affinity shipment + batched dispatch ----------------------------------------------
+# -- columnar affinity inputs + batched dispatch ------------------------------------------------
 
 
-def _columnar_grid_tasks(tasks):
-    """The grid tasks with their affinity dictionaries swapped for columns.
+def test_cached_index_matches_recommender_build_index(tiny_environment, tiny_groups):
+    """The reuse layer's columnar index ≡ the recommender's dictionary index.
 
-    Every grid case uses contiguous period indices, so the conversion always
-    succeeds; the dict fields are emptied and the full column set rides as
-    ``affinity_ref`` with an explicit full prefix.
+    ``cached_index`` (and every worker) builds from the memoised
+    full-timeline affinity columns plus a period prefix; the recommender's
+    one-shot ``build_index`` builds from the per-period dictionaries.  Both
+    must drive GRECA to bit-identical records across periods, item
+    restrictions and every affinity model.
     """
-    from dataclasses import replace
-
-    from repro.core.affinity import AffinityColumns
-
-    converted = []
-    for task in tasks:
-        columns = AffinityColumns.from_components(task.static, task.periodic, task.averages)
-        converted.append(
-            replace(
-                task,
-                static={},
-                periodic={},
-                averages={},
-                affinity_ref=columns,
-                n_periods=columns.n_periods,
-            )
-        )
-    return converted
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_grid_columnar_affinity_inprocess_shm_matches_serial(
-    grid_tasks, grid_serial, n_shards
-):
-    """Columnar affinity tasks, forced shm shipment, attached in-process.
-
-    Exercises export_affinity → descriptor → reattach →
-    ``GrecaIndexFactory.build_columns`` without any process in between, so a
-    divergence here is an affinity-shipment bug, not a scheduling one.
-    """
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        _columnar_grid_tasks(tasks),
-        factories,
-        n_shards=n_shards,
-        executor=SerialShardExecutor(),
-        shipment="shm",
-    )
-    assert_records_identical(records, grid_serial)
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_grid_columnar_affinity_process_shm_matches_serial(
-    grid_tasks, grid_serial, n_shards
-):
-    """Columnar affinity tasks through real process workers, {1, 2, 3, 7}."""
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        _columnar_grid_tasks(tasks), factories, n_shards=n_shards, executor="process"
-    )
-    assert_records_identical(records, grid_serial)
-
-
-def test_grid_columnar_affinity_pickle_shipment_matches_serial(grid_tasks, grid_serial):
-    """Columnar tasks still work when the columns themselves pickle by value."""
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        _columnar_grid_tasks(tasks),
-        factories,
-        n_shards=3,
-        executor="process",
-        shipment="pickle",
-    )
-    assert_records_identical(records, grid_serial)
-
-
-def test_columnar_task_rejects_mixed_affinity_inputs(grid_tasks):
-    """A task may carry dictionaries or a columnar reference, never both."""
-    from dataclasses import replace
-
-    from repro.core.affinity import AffinityColumns
-
-    tasks, _ = grid_tasks
-    task = tasks[0]
-    columns = AffinityColumns.from_components(task.static, task.periodic, task.averages)
-    with pytest.raises(ConfigurationError):
-        replace(task, affinity_ref=columns, n_periods=columns.n_periods)
-
-
-def test_environment_columnar_task_facade_matches_dict_task(tiny_environment, tiny_groups):
-    """task_for's columnar and dict shapes produce bit-identical records."""
-    from repro.parallel.worker import run_task
-
     group = tiny_groups[0]
-    factory = tiny_environment.index_factory(group)
     period = tiny_environment.timeline[2]
-    for knobs in (
-        dict(),
-        dict(period=period),
-        dict(period=period, n_items=120, k=4),
-        dict(affinity="continuous", period=period),
-        dict(affinity="time-agnostic"),
-        dict(affinity="none", consensus="MO"),
+    for knobs, k, consensus in (
+        (dict(), 10, "AP"),
+        (dict(period=period), 10, "AP"),
+        (dict(period=period, n_items=120), 4, "AP"),
+        (dict(affinity="continuous", period=period), 10, "AP"),
+        (dict(affinity="time-agnostic", period=period), 10, "AP"),
+        (dict(affinity="none"), 10, "MO"),
     ):
-        columnar = tiny_environment.task_for(group, **knobs)
-        as_dicts = tiny_environment.task_for(group, columnar=False, **knobs)
-        assert columnar.affinity_ref is not None and as_dicts.affinity_ref is None
-        assert run_task(columnar, factory) == run_task(as_dicts, factory)
+        n_items = knobs.pop("n_items", None)
+        items = None if n_items is None else tiny_environment.ratings.items[:n_items]
+        columnar = tiny_environment.cached_index(group, n_items=n_items, **knobs)
+        reference = tiny_environment.recommender.build_index(
+            group, exclude_rated=False, items=items, **knobs
+        )
+        algorithm = Greca(make_consensus(consensus), k=k)
+        assert record_from_result(group_key(group), algorithm.run(columnar)) == (
+            record_from_result(group_key(group), algorithm.run(reference))
+        )
 
 
 @pytest.mark.parametrize("n_workers", SHARD_COUNTS)
@@ -774,42 +727,36 @@ def test_grid_mmap_process_matches_serial(grid_tasks, grid_serial, n_shards):
     record — %SA, SA/RA counts, top-k, stopping reasons — is bit-identical.
     """
     tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        tasks, factories, n_shards=n_shards, executor="process", storage="mmap"
-    )
+    records = evaluate_tasks(tasks, factories, n_shards=n_shards, storage="mmap")
     assert_records_identical(records, grid_serial)
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_grid_mmap_inprocess_attach_matches_serial(grid_tasks, grid_serial, n_shards):
-    """Forced descriptor shipment attached in-process, file-backed columns.
+    """Descriptors attached in-process from file-backed columns.
 
     Exercises export → spool file → reattach → ``GrecaIndexFactory
     .from_columns`` without any process in between, so a divergence here is a
     storage-backend bug, not a scheduling one.
     """
     tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        tasks,
-        factories,
-        n_shards=n_shards,
-        executor=SerialShardExecutor(),
-        shipment="shm",
-        storage="mmap",
-    )
+    with SharedArrayRegistry(storage="mmap") as registry:
+        records = evaluate_tasks(
+            tasks,
+            factories,
+            n_shards=n_shards,
+            executor=SerialShardExecutor(),
+            registry=registry,
+        )
     assert_records_identical(records, grid_serial)
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_grid_columnar_mmap_process_matches_serial(grid_tasks, grid_serial, n_shards):
-    """Columnar affinity tasks through process workers over spool files."""
+    """Prefix queries over longer affinity columns, workers attach spool files."""
     tasks, factories = grid_tasks
     records = evaluate_tasks(
-        _columnar_grid_tasks(tasks),
-        factories,
-        n_shards=n_shards,
-        executor="process",
-        storage="mmap",
+        _padded_timeline_tasks(tasks), factories, n_shards=n_shards, storage="mmap"
     )
     assert_records_identical(records, grid_serial)
 
@@ -823,7 +770,6 @@ def test_grid_mmap_registry_descriptors_are_spool_files(grid_tasks, grid_serial)
             factories,
             n_shards=3,
             executor=SerialShardExecutor(),
-            shipment="shm",
             registry=registry,
         )
         assert_records_identical(records, grid_serial)
@@ -890,7 +836,6 @@ def test_storage_conflicts_with_caller_owned_registry(grid_tasks):
                 factories,
                 n_shards=2,
                 executor=SerialShardExecutor(),
-                shipment="shm",
                 registry=registry,
                 storage="mmap",
             )
@@ -944,7 +889,7 @@ def test_environment_average_percent_sa_mmap_matches_serial(
         dict(n_workers=3, executor="serial"),
         dict(n_workers=2, executor="persistent"),
         dict(n_workers=2, executor="persistent", storage="mmap"),
-        dict(n_workers=2, executor="process", kernel="fused"),
+        dict(n_workers=2, kernel="fused"),
         dict(n_workers=2, executor="supervised"),
     ],
 )
@@ -988,10 +933,20 @@ POLICY_KNOBS = (
 
 
 def test_execution_policy_validates_on_construction(tiny_environment, tiny_groups):
-    """The bundle validates at build time, and policy= is the only spelling."""
+    """The bundle validates at build time, and policy= is the only spelling.
+
+    Also pins the one dispatch shape: three executor names, no shipment
+    knob, columnar tasks only.
+    """
+    assert EXECUTOR_NAMES == ("serial", "persistent", "supervised")
+    assert "shipment" not in inspect.signature(evaluate_tasks).parameters
+    assert "columnar" not in inspect.signature(ScalabilityEnvironment.task_for).parameters
+    task_fields = {field.name for field in dataclasses.fields(GroupEvalTask)}
+    assert not {"static", "periodic", "averages"} & task_fields
+    assert {"affinity_ref", "n_periods"} <= task_fields
     with pytest.raises(ConfigurationError):
         ExecutionPolicy(n_workers=0)
-    with pytest.raises(ValueError, match="'serial', 'process', 'persistent'"):
+    with pytest.raises(ValueError, match="'serial', 'persistent', 'supervised'"):
         ExecutionPolicy(n_workers=2, executor="threads")
     with pytest.raises(ValueError, match="'shm', 'mmap'"):
         ExecutionPolicy(storage="tape")

@@ -225,6 +225,32 @@ def test_bad_query_fails_alone_in_its_batch(environment):
     assert response.record == service.reference_record(good)
 
 
+def test_malformed_query_is_rejected_before_it_takes_queue_room(environment):
+    """k/n_items below 1 or a negative period_index raise at construction.
+
+    Such a query never reaches the queue, so it can neither join a batch
+    nor be served silently with the default k or a catalogue sliced from
+    its end.
+    """
+    config = ServiceConfig(policy=ExecutionPolicy())
+    group = tuple(environment.random_groups(1)[0])
+    malformed = (
+        dict(k=0), dict(k=-2), dict(n_items=0), dict(n_items=-5), dict(period_index=-1)
+    )
+
+    async def load(service):
+        for knobs in malformed:
+            with pytest.raises(ConfigurationError):
+                await service.submit(GroupQuery(group=group, **knobs))
+        assert service.batch_sizes == []
+        response = await service.submit(GroupQuery(group=group, k=3))
+        return service, response
+
+    service, response = serve(environment, load, config=config)
+    assert service.batch_sizes == [1]  # only the well-formed query was batched
+    assert response.record.k == 3
+
+
 def test_percentile_interpolates():
     values = [10.0, 20.0, 30.0, 40.0]
     assert percentile(values, 0) == 10.0

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import gc
 import os
+from dataclasses import replace
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+from repro.core.affinity import AffinityColumns
 from repro.core.consensus import make_consensus
 from repro.core.greca import GrecaIndexFactory
 from repro.exceptions import AlgorithmError
@@ -56,17 +58,16 @@ def tiny_workload():
     }
     factory = GrecaIndexFactory(members=members, aprefs=aprefs)
     key = group_key(members)
-    static = {(1, 2): 0.4, (1, 3): 0.1, (2, 3): 0.8}
+    columns = AffinityColumns.from_components({(1, 2): 0.4, (1, 3): 0.1, (2, 3): 0.8})
 
     def task(k: int) -> GroupEvalTask:
         return GroupEvalTask(
             group=key,
             k=k,
             consensus=make_consensus("AP"),
-            static=static,
-            periodic={},
-            averages={},
             time_model="discrete",
+            affinity_ref=columns,
+            n_periods=0,
         )
 
     return {key: factory}, [task(3), task(5)]
@@ -141,7 +142,7 @@ def test_ephemeral_registry_unlinked_after_normal_completion(
     tiny_workload, recording_registries
 ):
     factories, tasks = tiny_workload
-    records = evaluate_tasks(tasks, factories, n_shards=2, executor="process")
+    records = evaluate_tasks(tasks, factories, n_shards=2)
     assert len(records) == len(tasks)
     (registry,) = recording_registries
     assert registry.closed
@@ -153,19 +154,9 @@ def test_ephemeral_registry_unlinked_after_worker_exception(
 ):
     """A task that raises inside the worker must not leak segments."""
     factories, tasks = tiny_workload
-    poisoned = tasks + [
-        GroupEvalTask(
-            group=tasks[0].group,
-            k=0,  # Greca rejects k <= 0 — worker-side, after shipment
-            consensus=tasks[0].consensus,
-            static=tasks[0].static,
-            periodic={},
-            averages={},
-            time_model="discrete",
-        )
-    ]
+    poisoned = tasks + [replace(tasks[0], k=0)]  # Greca rejects k <= 0 worker-side
     with pytest.raises(AlgorithmError):
-        evaluate_tasks(poisoned, factories, n_shards=2, executor="process")
+        evaluate_tasks(poisoned, factories, n_shards=2)
     (registry,) = recording_registries
     assert registry.closed
     assert_unlinked(registry.segment_names)
@@ -201,9 +192,7 @@ def test_ephemeral_registry_unlinked_after_worker_crash(
     factories, tasks = tiny_workload
     crash = FaultPlan((FaultSpec(shard=0, position=1, mode="crash", fires=1),))
     with pytest.raises(BrokenProcessPool):
-        evaluate_tasks(
-            tasks, factories, n_shards=1, executor="process", fault_plan=crash
-        )
+        evaluate_tasks(tasks, factories, n_shards=1, fault_plan=crash)
     (registry,) = recording_registries
     assert registry.closed
     assert_unlinked(registry.segment_names)
@@ -258,18 +247,9 @@ def test_unlink_keeps_live_worker_mappings_valid(tiny_workload):
 
 @pytest.fixture()
 def columnar_workload(tiny_workload):
-    """The tiny workload with its tasks swapped to the columnar affinity shape."""
-    from dataclasses import replace
-
-    from repro.core.affinity import AffinityColumns
-
+    """The tiny workload plus the affinity columns its tasks share."""
     factories, tasks = tiny_workload
-    columns = AffinityColumns.from_components(tasks[0].static, {}, {})
-    columnar = [
-        replace(task, static={}, periodic={}, averages={}, affinity_ref=columns, n_periods=0)
-        for task in tasks
-    ]
-    return factories, columnar, columns
+    return factories, tasks, tasks[0].affinity_ref
 
 
 def test_affinity_segments_unlink_on_context_exit(columnar_workload):
@@ -305,31 +285,52 @@ def test_affinity_export_refused_after_close(columnar_workload):
         registry.export_affinity(columns)
 
 
+def _own_timeline_tasks(tasks):
+    """The tiny tasks, each over its own one-period affinity-column set."""
+    return [
+        replace(
+            task,
+            affinity_ref=AffinityColumns.from_components(
+                {(1, 2): 0.4, (1, 3): 0.1, (2, 3): 0.8},
+                {0: {(1, 2): 0.6, (2, 3): 0.2}},
+                {0: 0.35},
+            ),
+            n_periods=1,
+        )
+        for task in tasks
+    ]
+
+
 def test_ephemeral_registry_with_columnar_tasks_unlinked(
     columnar_workload, recording_registries
 ):
-    """The shm-affinity default path leaks nothing after a process dispatch."""
+    """Every per-task affinity export is unlinked after a process dispatch.
+
+    One segment per factory plus one per distinct column set: the export
+    memo is per columns object, and none of the segments outlives the call.
+    """
     factories, tasks, _ = columnar_workload
-    records = evaluate_tasks(tasks, factories, n_shards=2, executor="process")
+    tasks = _own_timeline_tasks(tasks)
+    records = evaluate_tasks(tasks, factories, n_shards=2)
     assert len(records) == len(tasks)
     (registry,) = recording_registries
     assert registry.closed
+    assert len(set(registry.segment_names)) == len(factories) + len(tasks)
     assert_unlinked(registry.segment_names)
 
 
 def test_ephemeral_registry_with_columnar_tasks_unlinked_after_worker_exception(
     columnar_workload, recording_registries
 ):
-    from dataclasses import replace
-
-    from repro.exceptions import AlgorithmError
-
+    """A worker-side failure still unlinks every per-task affinity export."""
     factories, tasks, _ = columnar_workload
+    tasks = _own_timeline_tasks(tasks)
     poisoned = tasks + [replace(tasks[0], k=0)]  # Greca rejects k <= 0 worker-side
     with pytest.raises(AlgorithmError):
-        evaluate_tasks(poisoned, factories, n_shards=2, executor="process")
+        evaluate_tasks(poisoned, factories, n_shards=2)
     (registry,) = recording_registries
     assert registry.closed
+    assert len(set(registry.segment_names)) == len(factories) + len(tasks)
     assert_unlinked(registry.segment_names)
 
 
@@ -340,7 +341,7 @@ def test_unlink_purges_local_affinity_and_index_caches(columnar_workload):
     factories, tasks, _ = columnar_workload
     registry = SharedArrayRegistry()
     records = evaluate_tasks(
-        tasks, factories, n_shards=1, executor="serial", shipment="shm", registry=registry
+        tasks, factories, n_shards=1, executor="serial", registry=registry
     )
     assert len(records) == len(tasks)
     names = set(registry.segment_names)
@@ -408,8 +409,6 @@ def test_factory_memo_lru_order_respects_hits(monkeypatch):
 
 def test_index_memo_is_lru_bounded(monkeypatch, columnar_workload):
     """The per-process index memo for handle-addressed tasks stays bounded."""
-    from dataclasses import replace
-
     from repro.parallel import shm
 
     monkeypatch.setattr(shm, "INDEX_CACHE_MAX", 1)
@@ -421,7 +420,7 @@ def test_index_memo_is_lru_bounded(monkeypatch, columnar_workload):
     ]
     with SharedArrayRegistry() as registry:
         records = evaluate_tasks(
-            variants, factories, n_shards=1, executor="serial", shipment="shm", registry=registry
+            variants, factories, n_shards=1, executor="serial", registry=registry
         )
         assert len(records) == 2
         assert len(shm._INDEX_CACHE) <= 1
@@ -499,9 +498,6 @@ def test_recycled_segment_name_does_not_alias_stale_affinity_cache():
     names + shapes would alias the dead segment's content.  The export
     generation token is what keeps the handles distinct.
     """
-    from dataclasses import replace
-
-    from repro.core.affinity import AffinityColumns
     from repro.parallel import shm
 
     old_columns = AffinityColumns.from_components(
@@ -565,9 +561,6 @@ def test_reexport_under_recycled_names_invalidates_stale_index_entries(monkeypat
     an index built from the *old* substrate.  The purge path must invalidate
     index entries derived from a re-exported factory too.
     """
-    from dataclasses import replace
-
-    from repro.core.affinity import AffinityColumns
     from repro.parallel import run_task
     from repro.parallel import shm
 
@@ -591,9 +584,6 @@ def test_reexport_under_recycled_names_invalidates_stale_index_entries(monkeypat
             group=key,
             k=3,
             consensus=make_consensus("AP"),
-            static={},
-            periodic={},
-            averages={},
             time_model="discrete",
             affinity_ref=affinity,
             n_periods=0,
@@ -604,16 +594,15 @@ def test_reexport_under_recycled_names_invalidates_stale_index_entries(monkeypat
     new_factory = build_factory(4)
 
     # Serial reference for the NEW substrate, computed before any cache
-    # pollution (dict-based task: the columnar path must match it exactly).
+    # pollution (in-process columns: the shipped handles must match exactly).
     reference = run_task(
         GroupEvalTask(
             group=key,
             k=3,
             consensus=make_consensus("AP"),
-            static=static,
-            periodic={},
-            averages={},
             time_model="discrete",
+            affinity_ref=AffinityColumns.from_components(static, {}, {}),
+            n_periods=0,
         ),
         new_factory,
     )
@@ -687,14 +676,12 @@ def test_reexport_under_recycled_names_invalidates_stale_index_entries(monkeypat
 
 def test_purge_stale_drops_retired_generation_caches(columnar_workload):
     """retire_stale + purge_stale: retired-epoch caches die, live ones survive."""
-    from dataclasses import replace
-
     from repro.parallel import shm
 
     factories, tasks, columns = columnar_workload
     with SharedArrayRegistry() as registry:
         records = evaluate_tasks(
-            tasks, factories, n_shards=1, executor="serial", shipment="shm", registry=registry
+            tasks, factories, n_shards=1, executor="serial", registry=registry
         )
         assert len(records) == len(tasks)
         floor = registry.generation_floor
@@ -850,9 +837,7 @@ def test_mmap_ephemeral_registry_cleaned_after_normal_completion(
     tiny_workload, recording_registries
 ):
     factories, tasks = tiny_workload
-    records = evaluate_tasks(
-        tasks, factories, n_shards=2, executor="process", storage="mmap"
-    )
+    records = evaluate_tasks(tasks, factories, n_shards=2, storage="mmap")
     assert len(records) == len(tasks)
     (registry,) = recording_registries
     assert registry.closed
@@ -864,21 +849,9 @@ def test_mmap_ephemeral_registry_cleaned_after_worker_exception(
 ):
     """A task that raises inside the worker must not leave spool files behind."""
     factories, tasks = tiny_workload
-    poisoned = tasks + [
-        GroupEvalTask(
-            group=tasks[0].group,
-            k=0,  # Greca rejects k <= 0 — worker-side, after shipment
-            consensus=tasks[0].consensus,
-            static=tasks[0].static,
-            periodic={},
-            averages={},
-            time_model="discrete",
-        )
-    ]
+    poisoned = tasks + [replace(tasks[0], k=0)]  # Greca rejects k <= 0 worker-side
     with pytest.raises(AlgorithmError):
-        evaluate_tasks(
-            poisoned, factories, n_shards=2, executor="process", storage="mmap"
-        )
+        evaluate_tasks(poisoned, factories, n_shards=2, storage="mmap")
     (registry,) = recording_registries
     assert registry.closed
     assert_spool_deleted(registry.segment_names)
@@ -904,7 +877,6 @@ def test_mmap_ephemeral_registry_cleaned_after_worker_crash(
             tasks,
             factories,
             n_shards=1,
-            executor="process",
             storage="mmap",
             fault_plan=crash,
         )
@@ -953,9 +925,7 @@ def test_shm_budget_spills_oversized_exports_to_spool(tiny_workload):
         # The spilled substrate materialises bit-identically.
         spilled = materialise_factory(handle)
         assert spilled.members == factory.members and spilled.items == factory.items
-        records = evaluate_tasks(
-            tasks, factories, n_shards=2, executor="process", registry=registry
-        )
+        records = evaluate_tasks(tasks, factories, n_shards=2, registry=registry)
         assert records == reference
     assert_spool_deleted(names)
 
